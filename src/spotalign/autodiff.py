@@ -385,7 +385,7 @@ def gelu(a) -> DiffTensor:
     """GELU in the tanh approximation."""
     a = as_tensor(a)
     x = a.data
-    inner = GELU_COEF * (x + GELU_CUBIC * x ** 3)
+    inner = GELU_COEF * (x + GELU_CUBIC * x * x * x)  # x ** 3 calls pow: ~25x slower
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
@@ -400,9 +400,9 @@ def gelu(a) -> DiffTensor:
 def softmax_rows(a) -> DiffTensor:
     """Stable softmax along the last axis (the rows of a matrix)."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray):
         dot = (g * data).sum(axis=-1, keepdims=True)
@@ -461,11 +461,6 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> DiffTensor:
 
 # ---------------------------------------------------------------------------
 # gradient checking
-
-
-def backward(tape: Tape, loss: DiffTensor) -> dict[int, np.ndarray]:
-    """Module-level alias for Tape.backward."""
-    return tape.backward(loss)
 
 
 def grad_check(f, x, h: float = 1e-5) -> float:

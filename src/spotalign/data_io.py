@@ -24,7 +24,7 @@ import configparser
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ MAGIC = b"GDML"
 VERSION = 1
 
 _TAG_TO_DTYPE = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i4")}
-_KIND_TO_TAG = {"f4": 1, "f8": 2, "i4": 3}
 
 
 def _dtype_tag(arr: np.ndarray) -> tuple[int, np.ndarray]:
@@ -400,7 +399,6 @@ class SynthStudy:
     samples: list[SynthSample]
     column_names: list[str]
     gene_list: list[str]
-    weights: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -483,7 +481,6 @@ def synth_generate(spec: SynthSpec) -> SynthStudy:
         samples=samples,
         column_names=column_names,
         gene_list=list(column_names),
-        weights={"local": w_local, "neighbor": w_neighbor, "gene": w_gene},
     )
 
 

@@ -5,6 +5,12 @@ Centroids are means of normalized member rows and are deliberately not
 re-normalized, so dot-product similarity against them also encodes cluster
 coherence.  All tie-breaks are by lowest index, and every function is a
 deterministic function of its inputs and seed.
+
+Lloyd screens distances with one matrix product, |x|^2 - 2 x.c + |c|^2.  Its
+tolerance, (d + 2) * 4e-12 * (max|x|^2 + max|c|^2), exceeds the rounding error
+of that form and of the direct (x - c)^2 form together many times over, so rows
+whose two best screened distances differ by more keep their direct-form argmin;
+the rest (ties, underflow, overflow) are rescanned in the direct form.
 """
 
 from __future__ import annotations
@@ -37,11 +43,6 @@ def group_project(p: dict[str, DiffTensor], e_ins, modality: str) -> DiffTensor:
     return ad.matmul(x, p[f"group_{modality}/w"]) + p[f"group_{modality}/b"]
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # direct (x - c)^2 form so ties resolve identically to a brute-force scan
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-
-
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
@@ -61,33 +62,49 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray):
+    """Direct-form nearest centroid per row, and the squared distance to it."""
+    c_sq = (centroids * centroids).sum(axis=-1)
+    screen = points @ (-2.0 * centroids.T)
+    screen += sq_norms[:, None] + c_sq
+    assign = screen.argmin(axis=1)
+    if centroids.shape[0] > 1:
+        # every screened value lies within this bound; past overflow, tol is inf
+        bound = 4.0 * float(sq_norms.max() + c_sq.max())
+        tol = (points.shape[1] + 2) * (1e-12 * bound + np.finfo(float).tiny)
+        gap = np.partition(screen, 1, axis=1)[:, 1] - screen[np.arange(len(assign)), assign]
+        redo = np.flatnonzero(~(gap > tol))  # a NaN gap is redone too
+        assign[redo] = ((points[redo, None, :] - centroids) ** 2).sum(axis=-1).argmin(axis=1)
+    return assign, ((points - centroids[assign]) ** 2).sum(axis=-1)
+
+
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, tol: float):
     centroids = _kmeans_pp_init(points, k, rng)
+    sq_norms = (points * points).sum(axis=-1)
+    d = points.shape[1]
     n_iter = 0
     trace = []
     for n_iter in range(1, max_iter + 1):
-        dists = _squared_distances(points, centroids)
-        assign = dists.argmin(axis=1)
-        member_dist = dists[np.arange(points.shape[0]), assign]
+        assign, member_dist = _nearest(points, sq_norms, centroids)
         trace.append(float(member_dist.sum()))
-        new_centroids = np.empty_like(centroids)
-        for j in range(k):
-            members = points[assign == j]
-            if members.shape[0] == 0:
-                far = int(member_dist.argmax())
-                new_centroids[j] = points[far]
-                member_dist[far] = -1.0  # a later empty cluster must steal elsewhere
-            else:
-                new_centroids[j] = members.mean(axis=0)
+        # row-order member sums, as numpy's mean adds them (a lone column pairwise)
+        cells = (assign[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(cells, weights=points.ravel(), minlength=k * d).reshape(k, d)
+        if d == 1:
+            sums = np.array([[points[assign == j, 0].sum()] for j in range(k)])
+        counts = np.bincount(assign, minlength=k)
+        new_centroids = sums / np.maximum(counts, 1)[:, None]
+        for j in np.flatnonzero(counts == 0):
+            far = int(member_dist.argmax())
+            new_centroids[j] = points[far]
+            member_dist[far] = -1.0  # a later empty cluster must steal elsewhere
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=-1)).max()
         centroids = new_centroids
         if shift < tol:
             break
-    dists = _squared_distances(points, centroids)
-    assign = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(points.shape[0]), assign].sum())
-    trace.append(inertia)
-    return centroids, assign, inertia, n_iter, tuple(trace)
+    assign, member_dist = _nearest(points, sq_norms, centroids)
+    trace.append(float(member_dist.sum()))
+    return centroids, assign, trace[-1], n_iter, tuple(trace)
 
 
 def kmeans(

@@ -92,15 +92,6 @@ def multi_scale_instance_loss(
     return total, tuple(loss.item() for loss in scale_losses)
 
 
-def single_scale_instance_loss(image: DiffTensor, gene: DiffTensor, tau: float) -> DiffTensor:
-    """Instance loss for one image embedding (the fused one); same form as
-    one scale of the multi-scale loss."""
-    n = gene.shape[0]
-    t = internal_target(image.data, gene.data, tau)
-    z = ad.matmul(image, ad.transpose(gene))
-    return (_weighted_nll(z, t) + _weighted_nll(ad.transpose(z), t.T)) * (1.0 / n)
-
-
 def _one_hot(indices: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros((indices.shape[0], k))
     out[np.arange(indices.shape[0]), indices] = 1.0

@@ -393,7 +393,6 @@ def evaluate_fold(
     params: dict[str, np.ndarray],
     model_cfg: model.ModelConfig,
     test_batches: list[SpotBatch],
-    pooled: bool = False,
 ) -> evaluation.FoldReport:
     pairs = [(b.expression, infer(params, model_cfg, b)) for b in test_batches]
-    return evaluation.build_fold_report(fold_id, pairs, pooled=pooled)
+    return evaluation.build_fold_report(fold_id, pairs)

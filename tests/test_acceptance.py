@@ -396,7 +396,21 @@ def ablation_medians():
     by_label: dict[str, list[float]] = {label: [] for label in ABLATION_CONFIGS}
     for label, _seed, pcc_a in results:
         by_label[label].append(pcc_a)
+    _print_per_seed(by_label)
     return {label: median(vals) for label, vals in by_label.items()}, elapsed
+
+
+def _print_per_seed(by_label: dict[str, list[float]]) -> None:
+    """Per-seed PCC(A) and the paired per-seed gains behind the two closest
+    medians, so a flipped gate can be traced to the seeds that moved."""
+    def line(name: str, vals, fmt: str) -> None:
+        cells = " ".join(f"seed{s}={v:{fmt}}" for s, v in zip(ABLATION_SEEDS, vals))
+        print(f"ABLATION {name}: {cells}")
+
+    for label, vals in by_label.items():
+        line(label, vals, ".4f")
+    for better, worse in (("full", "multi_scale"), ("cross_level", "plain")):
+        line(f"{better}-{worse}", np.subtract(by_label[better], by_label[worse]), "+.4f")
 
 
 def test_component_ablation_directional(ablation_medians):

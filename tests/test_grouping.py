@@ -33,6 +33,62 @@ def brute_force_best_inertia(points: np.ndarray, k: int) -> float:
     return best
 
 
+def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+
+
+def reference_lloyd(points, k, rng, max_iter, tol):
+    """The direct-form Lloyd loop, kept verbatim as the bit-identity oracle:
+    every distance from the (N, k, d) broadcast and one mean per cluster."""
+    centroids = grouping._kmeans_pp_init(points, k, rng)
+    n_iter = 0
+    trace = []
+    for n_iter in range(1, max_iter + 1):
+        dists = squared_distances(points, centroids)
+        assign = dists.argmin(axis=1)
+        member_dist = dists[np.arange(points.shape[0]), assign]
+        trace.append(float(member_dist.sum()))
+        new_centroids = np.empty_like(centroids)
+        for j in range(k):
+            members = points[assign == j]
+            if members.shape[0] == 0:
+                far = int(member_dist.argmax())
+                new_centroids[j] = points[far]
+                member_dist[far] = -1.0  # a later empty cluster must steal elsewhere
+            else:
+                new_centroids[j] = members.mean(axis=0)
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=-1)).max()
+        centroids = new_centroids
+        if shift < tol:
+            break
+    dists = squared_distances(points, centroids)
+    assign = dists.argmin(axis=1)
+    inertia = float(dists[np.arange(points.shape[0]), assign].sum())
+    trace.append(inertia)
+    return centroids, assign, inertia, n_iter, tuple(trace)
+
+
+def oracle_points(seed: int) -> tuple[np.ndarray, int]:
+    """A seeded instance: d in 1..8 or 24, scales from 1e-160 to 1e150, and
+    duplicated, mirrored or lattice rows, which give exact and near distance
+    ties.  Every other instance has k <= 4, so that clusters reach the eight
+    members from which numpy sums a single column pairwise."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    d = int(rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 24]))
+    scale = float(rng.choice([1e-160, 1e-8, 1.0, 1e8, 1e150]))
+    points = rng.normal(size=(n, d))
+    kind = seed % 4
+    if kind == 3:  # a coarse lattice
+        points = rng.integers(-2, 3, size=(n, d)) * 0.1
+    elif kind == 1:  # duplicated points
+        points[n // 2:] = points[: n - n // 2]
+    elif kind == 2:  # mirrored points
+        points[n // 2:] = -points[: n - n // 2]
+    k = int(rng.integers(1, min(n, 4) + 1)) if seed % 2 else int(rng.integers(1, n + 1))
+    return scale * points, k
+
+
 class TestGroupProject:
     def test_zero_weights(self):
         cfg = model.ModelConfig(n_genes=4, d_in=4, d=4, heads=2, d_ff=8, dropout=0.0)
@@ -134,6 +190,25 @@ class TestKMeans:
             points = rng.normal(size=(12, 3))
             centroids = grouping._kmeans_pp_init(points, 5, np.random.default_rng(seed))
             assert len({tuple(c) for c in centroids}) == 5
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_bit_identical_to_direct_form(self, normalize, monkeypatch):
+        screened_lloyd = grouping._lloyd
+        for seed in range(300):
+            points, k = oracle_points(seed)
+            if normalize and not np.all((points * points).sum(axis=1) > 0):
+                continue  # the squared norm underflows and normalizing refuses the row
+            runs = []
+            for lloyd in (reference_lloyd, screened_lloyd):
+                monkeypatch.setattr(grouping, "_lloyd", lloyd)
+                runs.append(grouping.kmeans(points, k, seed, normalize=normalize, n_init=2))
+            want, got = runs
+            where = f"seed {seed}: n={points.shape[0]} d={points.shape[1]} k={k}"
+            assert got.centroids.tobytes() == want.centroids.tobytes(), where
+            assert got.assignments.tobytes() == want.assignments.tobytes(), where
+            assert repr(got.inertia) == repr(want.inertia), where
+            assert repr(got.inertia_trace) == repr(want.inertia_trace), where
+            assert got.n_iter == want.n_iter, where
 
     def test_contract_errors(self):
         points = np.ones((3, 2)) + np.arange(3)[:, None]
