@@ -8,7 +8,15 @@ bitwise.
 
 A :class:`Tape` is single-owner while recording and during backward; distinct
 tapes may be used from distinct threads.  Operations whose inputs are all
-constants (no tape) stay off any tape and just return a constant result.
+constants (no tape) stay off any tape and just return a constant result, and
+no op computes a gradient for a constant operand.
+
+The sweep contract: a tape is swept by :meth:`Tape.backward` once.  The sweep
+releases each node's closure, and with it the forward buffers the closure
+holds, and drops each non-leaf gradient once its node has consumed it, so a
+swept tape is freed by reference counting alone.  Closures never write to
+their incoming gradient, and the sweep never writes to a stored gradient, so
+gradients may alias views of one another.
 """
 
 from __future__ import annotations
@@ -33,30 +41,32 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        self._parents: list[tuple[int, ...]] = []
-        self._backwards: list[Callable[[np.ndarray], tuple[np.ndarray, ...]] | None] = []
+        # parent node ids, position-aligned with the op's inputs; None marks a constant
+        self._parents: list[tuple[int | None, ...]] = []
+        self._backwards: list[Callable[[np.ndarray], tuple] | None] = []
         self._leaves: dict[int, np.ndarray] = {}
+        self._swept = False
 
     def __len__(self) -> int:
         return len(self._parents)
 
-    def leaf(self, values, name: str | None = None) -> "DiffTensor":
+    def leaf(self, values) -> "DiffTensor":
         """Register a trainable leaf; its gradient is reported by backward()."""
         data = _as_array(values)
         node_id = self._record((), None)
         self._leaves[node_id] = data
         return DiffTensor(data, tape=self, node_id=node_id)
 
-    def _record(self, parents: tuple[int, ...], backward) -> int:
+    def _record(self, parents: tuple[int | None, ...], backward) -> int:
         self._parents.append(parents)
         self._backwards.append(backward)
         return len(self._parents) - 1
 
     def backward(self, loss: "DiffTensor") -> dict[int, np.ndarray]:
-        """Reverse sweep from a scalar loss.
+        """Reverse sweep from a scalar loss; a tape can be swept only once.
 
-        Returns a gradient for every registered leaf, keyed by node id;
-        leaves the loss does not reach get a zero gradient.
+        Returns a fresh gradient array for every registered leaf, keyed by
+        node id; leaves the loss does not reach get a zero gradient.
         """
         if loss.tape is not self:
             raise ContractError("loss tensor was not recorded on this tape")
@@ -64,24 +74,28 @@ class Tape:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
+        if self._swept:
+            raise ContractError("this tape was already swept; record a new one")
+        self._swept = True
         grads: list[np.ndarray | None] = [None] * len(self._parents)
         grads[loss.node_id] = np.ones_like(loss.data)
-        for nid in range(loss.node_id, -1, -1):
+        for nid in range(len(self._backwards) - 1, -1, -1):
+            backward, self._backwards[nid] = self._backwards[nid], None
             gout = grads[nid]
-            if gout is None:
+            if gout is None or backward is None:  # unreached, or a leaf
                 continue
-            backward = self._backwards[nid]
-            if backward is None:  # leaf
-                continue
+            grads[nid] = None
             for pid, gparent in zip(self._parents[nid], backward(gout)):
-                if grads[pid] is None:
-                    grads[pid] = gparent.copy()
-                else:
-                    grads[pid] += gparent
+                if pid is None:
+                    continue
+                prev = grads[pid]
+                # order="C" copies only views that are not C-contiguous, so
+                # reductions and BLAS downstream see the layout they always saw
+                grads[pid] = np.asarray(gparent, order="C") if prev is None else prev + gparent
         out: dict[int, np.ndarray] = {}
         for leaf_id, values in self._leaves.items():
             g = grads[leaf_id]
-            out[leaf_id] = np.zeros_like(values) if g is None else g
+            out[leaf_id] = np.zeros_like(values) if g is None else g.copy()
         return out
 
 
@@ -143,19 +157,6 @@ class DiffTensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    @property
-    def T(self) -> "DiffTensor":
-        return transpose(self)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "DiffTensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "DiffTensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape) -> "DiffTensor":
-        return reshape(self, shape)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on non-scalar tensor of shape {self.data.shape}")
@@ -193,10 +194,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _make(inputs: Sequence[DiffTensor], data: np.ndarray, backward) -> DiffTensor:
-    """Record an op whose taped parents are the taped members of ``inputs``.
+    """Record an op on the tape of its taped ``inputs``.
 
-    ``backward(gout)`` must return one gradient per member of ``inputs``
-    (position-aligned); gradients for constant members are dropped.
+    ``backward(gout)`` returns one gradient per member of ``inputs``
+    (position-aligned); the sweep skips those of constant members, which an
+    op may return as None.
     """
     tape = None
     for t in inputs:
@@ -207,14 +209,7 @@ def _make(inputs: Sequence[DiffTensor], data: np.ndarray, backward) -> DiffTenso
                 raise ContractError("operands live on different tapes")
     if tape is None:
         return DiffTensor(data)
-    taped_positions = [i for i, t in enumerate(inputs) if t.tape is not None]
-    parents = tuple(inputs[i].node_id for i in taped_positions)
-
-    def backward_taped(gout: np.ndarray) -> tuple[np.ndarray, ...]:
-        all_grads = backward(gout)
-        return tuple(all_grads[i] for i in taped_positions)
-
-    node_id = tape._record(parents, backward_taped)
+    node_id = tape._record(tuple(t.node_id for t in inputs), backward)
     return DiffTensor(data, tape=tape, node_id=node_id)
 
 
@@ -222,49 +217,37 @@ def _make(inputs: Sequence[DiffTensor], data: np.ndarray, backward) -> DiffTenso
 # elementwise arithmetic
 
 
-def add(a, b) -> DiffTensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
+def _binary(a: DiffTensor, b: DiffTensor, data: np.ndarray, grad_a, grad_b) -> DiffTensor:
+    """Record a broadcasting binary op; ``grad_x(g)`` is x's unreduced gradient."""
     return _make(
         (a, b),
         data,
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (
+            _unbroadcast(grad_a(g), a.data.shape) if a.tape is not None else None,
+            _unbroadcast(grad_b(g), b.data.shape) if b.tape is not None else None,
+        ),
     )
+
+
+def add(a, b) -> DiffTensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> DiffTensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-    return _make(
-        (a, b),
-        data,
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-    )
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> DiffTensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-    return _make(
-        (a, b),
-        data,
-        lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        ),
-    )
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> DiffTensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-    return _make(
-        (a, b),
-        data,
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
+    return _binary(
+        a, b, a.data / b.data, lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)
     )
 
 
@@ -287,6 +270,25 @@ def pow_const(a, exponent: float) -> DiffTensor:
 def matmul(a, b) -> DiffTensor:
     """Matrix product on the last two axes, batched over leading axes."""
     a, b = as_tensor(a), as_tensor(b)
+    return _make((a, b), _product(a, b), lambda g: _matmul_grads(a, b, g))
+
+
+def linear(x, w, b) -> DiffTensor:
+    """x @ w + b as one node: the bias is added in place on the fresh product."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    data = _product(x, w)
+    data += b.data
+    return _make(
+        (x, w, b),
+        data,
+        lambda g: (
+            *_matmul_grads(x, w, g),
+            _unbroadcast(g, b.data.shape) if b.tape is not None else None,
+        ),
+    )
+
+
+def _product(a: DiffTensor, b: DiffTensor) -> np.ndarray:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
             f"matmul requires rank >= 2 operands, got {a.data.shape} and {b.data.shape}"
@@ -295,14 +297,16 @@ def matmul(a, b) -> DiffTensor:
         raise ShapeError(
             f"matmul inner dimensions differ: {a.data.shape} x {b.data.shape}"
         )
-    data = a.data @ b.data
+    return a.data @ b.data
 
-    def backward(g: np.ndarray):
+
+def _matmul_grads(a: DiffTensor, b: DiffTensor, g: np.ndarray) -> tuple:
+    ga = gb = None
+    if a.tape is not None:
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+    if b.tape is not None:
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
-
-    return _make((a, b), data, backward)
+    return ga, gb
 
 
 def transpose(a) -> DiffTensor:
@@ -351,11 +355,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> DiffTensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+    def backward(g: np.ndarray):  # a read-only broadcast view: the sweep never writes to it
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.data.shape),)
 
     return _make((a,), data, backward)
 

@@ -40,7 +40,7 @@ def group_project(p: dict[str, DiffTensor], e_ins, modality: str) -> DiffTensor:
     if modality not in ("image", "gene"):
         raise ContractError(f"modality must be 'image' or 'gene', got {modality!r}")
     x = ad.as_tensor(e_ins)
-    return ad.matmul(x, p[f"group_{modality}/w"]) + p[f"group_{modality}/b"]
+    return ad.linear(x, p[f"group_{modality}/w"], p[f"group_{modality}/b"])
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -139,15 +139,11 @@ def as_tensors(params: dict[str, np.ndarray], tape: ad.Tape | None = None) -> di
     """Wrap parameters as tape leaves (training) or constants (inference)."""
     if tape is None:
         return {k: ad.constant(v) for k, v in params.items()}
-    return {k: tape.leaf(v, name=k) for k, v in params.items()}
+    return {k: tape.leaf(v) for k, v in params.items()}
 
 
 # ---------------------------------------------------------------------------
 # building blocks
-
-
-def _linear(x, p: dict[str, DiffTensor], name: str) -> DiffTensor:
-    return ad.matmul(x, p[f"{name}/w"]) + p[f"{name}/b"]
 
 
 def attention_block(
@@ -167,9 +163,9 @@ def attention_block(
     dh = d // heads
 
     h = ad.layer_norm(x, p[f"{prefix}/ln1/g"], p[f"{prefix}/ln1/b"])
-    q = ad.matmul(h, p[f"{prefix}/attn/wq"]) + p[f"{prefix}/attn/bq"]
-    k = ad.matmul(h, p[f"{prefix}/attn/wk"]) + p[f"{prefix}/attn/bk"]
-    v = ad.matmul(h, p[f"{prefix}/attn/wv"]) + p[f"{prefix}/attn/bv"]
+    q = ad.linear(h, p[f"{prefix}/attn/wq"], p[f"{prefix}/attn/bq"])
+    k = ad.linear(h, p[f"{prefix}/attn/wk"], p[f"{prefix}/attn/bk"])
+    v = ad.linear(h, p[f"{prefix}/attn/wv"], p[f"{prefix}/attn/bv"])
 
     def split(z):
         return ad.permute(ad.reshape(z, (b, t, heads, dh)), (0, 2, 1, 3))
@@ -179,13 +175,13 @@ def attention_block(
     weights = ad.softmax_rows(scores)  # (B, H, T, T)
     context = ad.matmul(weights, v)  # (B, H, T, dh)
     context = ad.reshape(ad.permute(context, (0, 2, 1, 3)), (b, t, d))
-    attn_out = ad.matmul(context, p[f"{prefix}/attn/wo"]) + p[f"{prefix}/attn/bo"]
+    attn_out = ad.linear(context, p[f"{prefix}/attn/wo"], p[f"{prefix}/attn/bo"])
     x = x + ad.dropout(attn_out, drop, rng, training)
 
     h2 = ad.layer_norm(x, p[f"{prefix}/ln2/g"], p[f"{prefix}/ln2/b"])
-    f = ad.gelu(ad.matmul(h2, p[f"{prefix}/ffn/w1"]) + p[f"{prefix}/ffn/b1"])
+    f = ad.gelu(ad.linear(h2, p[f"{prefix}/ffn/w1"], p[f"{prefix}/ffn/b1"]))
     f = ad.dropout(f, drop, rng, training)
-    f = ad.matmul(f, p[f"{prefix}/ffn/w2"]) + p[f"{prefix}/ffn/b2"]
+    f = ad.linear(f, p[f"{prefix}/ffn/w2"], p[f"{prefix}/ffn/b2"])
     return x + f
 
 
@@ -203,7 +199,7 @@ def project_scale(p: dict[str, DiffTensor], feat, scale: str) -> DiffTensor:
         raise ShapeError(
             f"{scale} features have dim {feat.shape[-1]}, projection expects {w.shape[0]}"
         )
-    return ad.matmul(feat, w) + p[f"proj_{scale}/b"]
+    return ad.linear(feat, w, p[f"proj_{scale}/b"])
 
 
 def neighbor_encode(
@@ -280,7 +276,7 @@ def scale_fusion(
     if cfg.fusion_mode == "mean":
         fused = (tokens[0] + tokens[1] + tokens[2]) * (1.0 / 3.0)
     else:
-        fused = _linear(ad.concat(tokens, axis=-1), p, "fusion/out")
+        fused = ad.linear(ad.concat(tokens, axis=-1), p["fusion/out/w"], p["fusion/out/b"])
     return (tokens[0], tokens[1], tokens[2]), fused
 
 
@@ -295,19 +291,19 @@ def gene_encode(
     expr = ad.as_tensor(expression)
     if expr.shape[-1] != cfg.n_genes:
         raise ShapeError(f"expression has {expr.shape[-1]} genes, model expects {cfg.n_genes}")
-    h = ad.matmul(expr, p["gene/enc/w1"]) + p["gene/enc/b1"]
+    h = ad.linear(expr, p["gene/enc/w1"], p["gene/enc/b1"])
     h = ad.dropout(ad.gelu(h), cfg.dropout, rng, training)
-    h = ad.matmul(h, p["gene/enc/w2"]) + p["gene/enc/b2"]
+    h = ad.linear(h, p["gene/enc/w2"], p["gene/enc/b2"])
 
-    f = ad.gelu(ad.matmul(h, p["gene/ffn/w1"]) + p["gene/ffn/b1"])
+    f = ad.gelu(ad.linear(h, p["gene/ffn/w1"], p["gene/ffn/b1"]))
     f = ad.dropout(f, cfg.dropout, rng, training)
-    f = ad.matmul(f, p["gene/ffn/w2"]) + p["gene/ffn/b2"]
+    f = ad.linear(f, p["gene/ffn/w2"], p["gene/ffn/b2"])
     return h + f
 
 
 def predict_expression(p: dict[str, DiffTensor], fused: DiffTensor) -> DiffTensor:
     """Single affine prediction head from the fused embedding to genes."""
-    return _linear(fused, p, "pred")
+    return ad.linear(fused, p["pred/w"], p["pred/b"])
 
 
 def forward_embeddings(

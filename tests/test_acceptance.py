@@ -9,11 +9,13 @@ seeded, so its numbers are bit-reproducible.
 
 import itertools
 import math
+import multiprocessing
 import os
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from statistics import median
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,6 +353,7 @@ def test_metric_suite():
 # directional component ablation (desk-scale replication)
 
 ABLATION_SEEDS = (0, 1, 2, 3, 4)
+BLAS_SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 ABLATION_CONFIGS = {
     "plain": dict(multi_ins_weight=0.0, lam=0.0),
     "multi_scale": dict(multi_ins_weight=1.0, lam=0.0),
@@ -388,7 +391,12 @@ def ablation_medians():
     start = time.time()
     workers = min(4, os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Spawned workers read the BLAS thread count when they import numpy,
+        # so one BLAS thread each keeps the workers from oversubscribing the
+        # cores; this process's BLAS is already loaded and keeps its threads.
+        with mock.patch.dict(os.environ, BLAS_SINGLE_THREAD), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
             results = list(pool.map(_ablation_run, tasks))
     else:
         results = [_ablation_run(t) for t in tasks]

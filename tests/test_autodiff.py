@@ -4,8 +4,10 @@ Expected values come from independent oracles: hand arithmetic, scalar
 re-evaluation with math.exp, and the central finite-difference checker.
 """
 
+import gc
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +227,90 @@ class TestBackward:
             t.join()
         for seed in range(4):
             assert threaded[seed].tobytes() == gradient(seed).tobytes()
+
+
+class TestSweep:
+    """A tape is swept once and freed by reference counting alone."""
+
+    @staticmethod
+    def _step():
+        rng = np.random.default_rng(0)
+        tape = ad.Tape()
+        w = tape.leaf(rng.normal(size=(4, 3)))
+        b = tape.leaf(rng.normal(size=(3,)))
+        x = ad.constant(rng.normal(size=(5, 4)))
+        loss = ad.tsum(ad.softmax_rows(ad.gelu(ad.linear(x, w, b)) * 0.5))
+        return tape, w, loss
+
+    def test_swept_tape_is_freed_with_the_cycle_collector_off(self):
+        gc.disable()
+        try:
+            tape, w, loss = self._step()
+            after = ad.mul(w, 2.0)  # recorded past the loss, so never reached
+            tape.backward(loss)
+            ref = weakref.ref(tape)
+            del tape, w, loss, after
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_second_backward_raises(self):
+        tape, _, loss = self._step()
+        tape.backward(loss)
+        with pytest.raises(ContractError, match="already swept"):
+            tape.backward(loss)
+
+    def test_len_is_kept_after_backward(self):
+        tape, _, loss = self._step()
+        before = len(tape)
+        tape.backward(loss)
+        assert len(tape) == before > 0
+
+    def test_leaves_with_one_upstream_gradient_get_separate_arrays(self):
+        tape = ad.Tape()
+        w1, w2 = tape.leaf([1.0, 2.0]), tape.leaf([3.0, 4.0])
+        grads = tape.backward(ad.tsum(w1 + w2))
+        g1, g2 = grads[w1.node_id], grads[w2.node_id]
+        g1[0] = 99.0
+        np.testing.assert_array_equal(g2, [1.0, 1.0])
+
+
+class TestLinear:
+    SHAPES = [((5, 4), (4, 3)), ((2, 5, 4), (4, 3))]
+
+    @staticmethod
+    def _grads(shape_x, shape_w, fused):
+        rng = np.random.default_rng(len(shape_x))
+        tape = ad.Tape()
+        x = tape.leaf(rng.normal(size=shape_x))
+        w = tape.leaf(rng.normal(size=shape_w))
+        b = tape.leaf(rng.normal(size=shape_w[-1:]))
+        y = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+        weights = ad.constant(rng.normal(size=y.shape))
+        grads = tape.backward(ad.tsum(ad.mul(ad.gelu(y), weights)))
+        return [y.data] + [grads[t.node_id] for t in (x, w, b)]
+
+    @pytest.mark.parametrize("shape_x,shape_w", SHAPES)
+    def test_matches_matmul_plus_add_bytewise(self, shape_x, shape_w):
+        fused = self._grads(shape_x, shape_w, fused=True)
+        composite = self._grads(shape_x, shape_w, fused=False)
+        for got, want in zip(fused, composite):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape_x,shape_w", SHAPES)
+    def test_gradients_pass_grad_check(self, shape_x, shape_w):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=shape_x)
+        w = rng.normal(size=shape_w)
+        b = rng.normal(size=shape_w[-1:])
+        for i in range(3):
+            def f(t, i=i):
+                args = [ad.constant(x), ad.constant(w), ad.constant(b)]
+                args[i] = t
+                return ad.tsum(ad.gelu(ad.linear(*args)))
+
+            assert ad.grad_check(f, (x, w, b)[i]) <= 1e-6
 
 
 class TestGradCheck:
