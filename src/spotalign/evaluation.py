@@ -26,26 +26,12 @@ def pcc(y, y_hat) -> float:
         raise ShapeError(f"length mismatch: {y.shape} vs {y_hat.shape}")
     if y.size < 2:
         raise ContractError("pcc requires at least 2 observations")
-    yc = _unit_scaled(y - y.mean())
-    pc = _unit_scaled(y_hat - y_hat.mean())
+    yc = y - y.mean()
+    pc = y_hat - y_hat.mean()
     denom = math.sqrt(float((yc**2).sum())) * math.sqrt(float((pc**2).sum()))
     if denom == 0.0:
         return math.nan
     return float((yc * pc).sum() / denom)
-
-
-def _unit_scaled(centered: np.ndarray) -> np.ndarray:
-    """Scale by a power of two so the largest magnitude lies in [0.5, 1).
-
-    Squares of values below ~1e-154 fall into subnormals and lose bits, and
-    squares above ~1e154 overflow; PCC is scale-free, so rescaling first
-    avoids both.  A power of two scales exactly, so wherever the unscaled
-    sums stayed normal the correlation is bit-identical.
-    """
-    peak = float(np.abs(centered).max())
-    if peak == 0.0 or not math.isfinite(peak):
-        return centered
-    return np.ldexp(centered, -math.frexp(peak)[1])
 
 
 def mse_metric(y, y_hat) -> float:

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spotalign import evaluation, render
@@ -47,19 +47,11 @@ class TestPcc:
         with pytest.raises(ContractError):
             evaluation.pcc([1.0], [2.0])
 
-    def test_extreme_magnitudes(self):
-        y, yhat = np.array([1.0, 2.0, 5.0]), [1.0, 2.0, 3.0]
-        ref = evaluation.pcc(y, yhat)
-        for scale in (1e-160, 1e-300, 1e160, 1e300):
-            assert evaluation.pcc(y * scale, yhat) == pytest.approx(ref, abs=1e-15)
-
     @given(
         st.lists(st.floats(-100, 100), min_size=4, max_size=4),
         st.floats(0.01, 50),
         st.floats(-20, 20),
     )
-    # squares of these values are subnormal
-    @example(y=[1.198604372544933e-157, -4.4668812335311806e-184, 0.0, 0.0], a=1.7228825992771462, b=0.0)
     @settings(max_examples=60, deadline=None)
     def test_affine_invariance(self, y, a, b):
         y = np.array(y)
@@ -68,12 +60,6 @@ class TestPcc:
         base = evaluation.pcc(y, yhat)
         if math.isnan(base):
             return
-        # Invariance holds only where float64 can represent a*y+b: rounding
-        # b against the spread of a*y (y=[0,0,0,1e-149], b=1 gives a constant)
-        # bounds the error by this relative size, observed up to ~3x.
-        spread = np.abs(y - y.mean()).max()
-        rounding = 2.0**-53 * (np.abs(y).max() + np.abs(a * y + b).max() / a)
-        assume((rounding + 2.0**-1074 * (1 + 1 / a)) / spread <= 1e-13)
         assert evaluation.pcc(a * y + b, yhat) == pytest.approx(base, abs=1e-12)
         assert evaluation.pcc(-a * y + b, yhat) == pytest.approx(-base, abs=1e-12)
 
