@@ -15,7 +15,7 @@ from .errors import (
 )
 from .evaluation import FoldReport, aggregate, mae_metric, mse_metric, pcc, select_hpg
 from .grouping import GroupState, assign_cross, kmeans
-from .losses import LossBreakdown, Temperatures
+from .losses import LossBreakdown
 from .model import ModelConfig, ScaleEmbeddings, init_params
 from .trainer import FoldPlan, TrainConfig, lr_schedule, make_folds, train_fold
 
@@ -54,7 +54,6 @@ __all__ = [
     "assign_cross",
     "kmeans",
     "LossBreakdown",
-    "Temperatures",
     "ModelConfig",
     "ScaleEmbeddings",
     "init_params",

@@ -433,21 +433,12 @@ def dropout(a, rate: float, rng: np.random.Generator | None, training: bool = Tr
     return mul(a, constant(keep))
 
 
-def l2_normalize_rows(a, zero_rows: str = "error") -> DiffTensor:
-    """Scale each row to unit Euclidean norm.
-
-    ``zero_rows`` chooses the policy for rows of all zeros: "error" (default)
-    raises, "guard" clamps the norm at 1e-12 so zero rows map to zero rows.
-    """
+def l2_normalize_rows(a) -> DiffTensor:
+    """Scale each row to unit Euclidean norm; a row of all zeros raises."""
     a = as_tensor(a)
     sq = tsum(mul(a, a), axis=-1, keepdims=True)
-    if zero_rows == "error":
-        if np.any(sq.data == 0.0):
-            raise ContractError("l2_normalize_rows: zero row (degenerate embedding)")
-    elif zero_rows == "guard":
-        sq = sq + 1e-24
-    else:
-        raise ContractError(f"unknown zero_rows policy: {zero_rows!r}")
+    if np.any(sq.data == 0.0):
+        raise ContractError("l2_normalize_rows: zero row (degenerate embedding)")
     return mul(a, pow_const(sq, -0.5))
 
 

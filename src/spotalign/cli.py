@@ -1,8 +1,11 @@
 """Command-line surface: simulate, train, eval, predict, render.
 
-Run configs are INI files with [data]/[model]/[loss]/[train]/[out] sections;
-unknown sections or keys are hard errors, and the fully-defaulted effective
-config is echoed into the output directory of every training run.
+Run configs are INI files with [data]/[model]/[loss]/[train]/[out] sections
+and simulate specs have one [synth] section.  A key is the name of a field of
+``ModelConfig``, ``TrainConfig`` or ``SynthSpec`` (five fields keep a short
+name, see ``_INI_NAMES``); unknown sections or keys are hard errors.  Every
+training run echoes its fully-defaulted config to ``effective_config.ini`` in
+its output directory, and that file is itself a valid run config.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure, 5 I/O
 error.  Errors print one line to stderr: ``error: <category>: <message>``.
@@ -14,7 +17,7 @@ import argparse
 import concurrent.futures
 import configparser
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,50 +25,41 @@ import numpy as np
 from . import data_io, evaluation, model, render, trainer
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 
-_SYNTH_KEYS = {
-    "n_spots": ("n_spots", int),
-    "n_slides": ("n_slides", int),
-    "latent": ("latent_dim", int),
-    "genes": ("n_genes", int),
-    "rho": ("rho", float),
-    "sigma": ("sigma", float),
-    "seed": ("seed", int),
-    "d_in": ("d_in", int),
-    "count_scale": ("count_scale", float),
+# Every dataclass field is one INI key named after the field, except these
+# short names that configs written before the derivation already use.
+_INI_NAMES = {
+    "latent_dim": "latent",
+    "n_genes": "genes",
+    "lam": "lambda",
+    "batch_size": "batch",
+    "n_folds": "folds",
 }
 
-_MODEL_KEYS = {
-    "d": ("d", int),
-    "d_in": ("d_in", int),
-    "heads": ("heads", int),
-    "neighbor_blocks": ("neighbor_blocks", int),
-    "global_blocks": ("global_blocks", int),
-    "fusion_blocks": ("fusion_blocks", int),
-    "d_ff": ("d_ff", int),
-    "dropout": ("dropout", float),
-    "neighbor_tokens": ("neighbor_tokens", int),
-    "fusion_mode": ("fusion_mode", str),
-}
+# TrainConfig fields read from [loss]; the rest of TrainConfig is [train].
+_LOSS_FIELDS = ("tau", "tau_ig", "lam", "k", "target_mode")
 
-_LOSS_KEYS = {
-    "tau": ("tau", float),
-    "tau_ig": ("tau_ig", float),
-    "lambda": ("lam", float),
-    "k": ("k", int),
-    "target_mode": ("target_mode", str),
-}
+_CASTS = {"int": int, "float": float, "str": str}
 
-_TRAIN_KEYS = {
-    "lr": ("lr", float),
-    "decay": ("decay", float),
-    "decay_every": ("decay_every", int),
-    "batch": ("batch_size", int),
-    "epochs": ("epochs", int),
-    "seed": ("seed", int),
-    "folds": ("n_folds", int),
-    "multi_ins_weight": ("multi_ins_weight", float),
-    "cluster_refresh": ("cluster_refresh", str),
-    "kmeans_n_init": ("kmeans_n_init", int),
+
+def _keys(cls, keep=lambda name: True) -> dict:
+    """INI key -> (field, cast) for the kept fields of a config dataclass."""
+    return {
+        _INI_NAMES.get(f.name, f.name): (f.name, _CASTS[f.type])
+        for f in fields(cls)
+        if keep(f.name)
+    }
+
+
+_SYNTH_SECTION = _keys(data_io.SynthSpec)
+
+# Run-config layout, shared by the reader and the effective-config echo.
+# [model] n_genes comes from the study, so no config sets it.
+_RUN_SECTIONS = {
+    "data": {"manifest": ("manifest", str)},
+    "model": _keys(model.ModelConfig, lambda name: name != "n_genes"),
+    "loss": _keys(trainer.TrainConfig, lambda name: name in _LOSS_FIELDS),
+    "train": _keys(trainer.TrainConfig, lambda name: name not in _LOSS_FIELDS),
+    "out": {"dir": ("dir", str)},
 }
 
 
@@ -104,11 +98,12 @@ def _reject_unknown_sections(parser, allowed) -> None:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
 
-def _echo_config(path, sections: dict[str, dict]) -> None:
+def _echo_config(path, values: dict[str, dict]) -> None:
+    """Write section -> {field: value} under the keys the reader accepts."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    for name, mapping in sections.items():
-        parser[name] = {k: str(v) for k, v in mapping.items()}
+    for name, keymap in _RUN_SECTIONS.items():
+        parser[name] = {key: str(values[name][field]) for key, (field, _) in keymap.items()}
     with open(path, "w") as f:
         parser.write(f)
 
@@ -117,40 +112,37 @@ def _echo_config(path, sections: dict[str, dict]) -> None:
 # commands
 
 
-def cmd_simulate(args) -> int:
-    parser = _read_ini(args.spec)
+def _load_synth_spec(path) -> data_io.SynthSpec:
+    parser = _read_ini(path)
     _reject_unknown_sections(parser, {"synth"})
     if "synth" not in parser:
         raise ConfigError("simulate spec needs a [synth] section")
-    spec = data_io.SynthSpec(**_section(parser, "synth", _SYNTH_KEYS))
-    study = data_io.synth_generate(spec)
+    return data_io.SynthSpec(**_section(parser, "synth", _SYNTH_SECTION))
+
+
+def cmd_simulate(args) -> int:
+    study = data_io.synth_generate(_load_synth_spec(args.spec))
     manifest = data_io.write_study(study, args.out)
     print(f"manifest={manifest}")
     return 0
 
 
 def _load_run_config(path):
+    """Returns the manifest path, the output directory, and the [model]
+    and [loss]+[train] keyword arguments."""
     parser = _read_ini(path)
-    _reject_unknown_sections(parser, {"data", "model", "loss", "train", "out"})
-    if "data" not in parser or "manifest" not in parser["data"]:
+    _reject_unknown_sections(parser, _RUN_SECTIONS)
+    sections = {name: _section(parser, name, keymap) for name, keymap in _RUN_SECTIONS.items()}
+    if "manifest" not in sections["data"]:
         raise ConfigError("config needs [data] manifest = <path>")
-    unknown = set(parser["data"]) - {"manifest"}
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section [data]")
-    if "out" not in parser or "dir" not in parser["out"]:
+    if "dir" not in sections["out"]:
         raise ConfigError("config needs [out] dir = <path>")
-    unknown = set(parser["out"]) - {"dir"}
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section [out]")
 
-    manifest = (Path(path).parent / parser["data"]["manifest"]).resolve()
-    out_dir = Path(parser["out"]["dir"])
+    manifest = (Path(path).parent / sections["data"]["manifest"]).resolve()
+    out_dir = Path(sections["out"]["dir"])
     if not out_dir.is_absolute():
         out_dir = (Path(path).parent / out_dir).resolve()
-    model_kwargs = _section(parser, "model", _MODEL_KEYS)
-    loss_kwargs = _section(parser, "loss", _LOSS_KEYS)
-    train_kwargs = _section(parser, "train", _TRAIN_KEYS)
-    return manifest, out_dir, model_kwargs, loss_kwargs, train_kwargs
+    return manifest, out_dir, sections["model"], {**sections["loss"], **sections["train"]}
 
 
 def _train_one_fold(payload):
@@ -159,7 +151,7 @@ def _train_one_fold(payload):
 
 
 def cmd_train(args) -> int:
-    manifest, out_dir, model_kwargs, loss_kwargs, train_kwargs = _load_run_config(args.config)
+    manifest, out_dir, model_kwargs, train_kwargs = _load_run_config(args.config)
     batches = data_io.load_study(manifest)
     if not batches:
         raise DataError(f"manifest {manifest} lists no samples")
@@ -171,7 +163,7 @@ def cmd_train(args) -> int:
     model_kwargs.setdefault("neighbor_tokens", tokens)
     try:
         model_cfg = model.ModelConfig(n_genes=n_genes, **model_kwargs)
-        train_cfg = trainer.TrainConfig(**{**loss_kwargs, **train_kwargs})
+        train_cfg = trainer.TrainConfig(**train_kwargs)
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -185,6 +177,7 @@ def cmd_train(args) -> int:
         {
             "data": {"manifest": manifest},
             "model": asdict(model_cfg),
+            "loss": asdict(train_cfg),
             "train": asdict(train_cfg),
             "out": {"dir": out_dir},
         },

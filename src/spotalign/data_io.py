@@ -84,24 +84,31 @@ def read_container(path) -> dict[str, np.ndarray]:
         raise DataError(f"cannot read container {path}: {exc}") from exc
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad magic {blob[:4]!r}")
+
+    def unpack(fmt: str, offset: int) -> tuple:
+        try:
+            return struct.unpack_from(fmt, blob, offset)
+        except struct.error as exc:
+            raise DataError(f"{path}: truncated header at byte {offset}") from exc
+
     offset = 4
-    (version,) = struct.unpack_from("<H", blob, offset)
+    (version,) = unpack("<H", offset)
     offset += 2
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
-    (count,) = struct.unpack_from("<I", blob, offset)
+    (count,) = unpack("<I", offset)
     offset += 4
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
+        (name_len,) = unpack("<H", offset)
         offset += 2
         name = blob[offset : offset + name_len].decode("utf-8")
         offset += name_len
-        tag, rank = struct.unpack_from("<BB", blob, offset)
+        tag, rank = unpack("<BB", offset)
         offset += 2
         if tag not in _TAG_TO_DTYPE:
             raise DataError(f"{path}: unknown dtype tag {tag} for entry {name!r}")
-        dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
+        dims = unpack(f"<{rank}I", offset) if rank else ()
         offset += 4 * rank
         dtype = _TAG_TO_DTYPE[tag]
         nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
@@ -232,8 +239,11 @@ def read_coords(path) -> tuple[list[str], np.ndarray]:
         parts = ln.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}: malformed coordinate line {ln!r}")
+        try:
+            rows.append((int(parts[1]), int(parts[2])))
+        except ValueError as exc:
+            raise DataError(f"{path}: non-integer row or col in {ln!r}") from exc
         ids.append(parts[0])
-        rows.append((int(parts[1]), int(parts[2])))
     return ids, np.array(rows, dtype=np.int32).reshape(len(rows), 2)
 
 
@@ -275,6 +285,9 @@ def load_study(manifest_path) -> list[SpotBatch]:
     unknown = set(study) - _STUDY_KEYS
     if unknown:
         raise DataError(f"{manifest_path}: unknown study keys {sorted(unknown)}")
+    missing = _STUDY_KEYS - set(study)
+    if missing:
+        raise DataError(f"{manifest_path}: [study] missing keys {sorted(missing)}")
     base = manifest_path.parent
     column_names = read_gene_list(base / study["columns"])
     gene_list = read_gene_list(base / study["genes"])

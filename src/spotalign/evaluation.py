@@ -26,12 +26,23 @@ def pcc(y, y_hat) -> float:
         raise ShapeError(f"length mismatch: {y.shape} vs {y_hat.shape}")
     if y.size < 2:
         raise ContractError("pcc requires at least 2 observations")
-    yc = y - y.mean()
-    pc = y_hat - y_hat.mean()
+    yc = _unit_scaled(y - y.mean())
+    pc = _unit_scaled(y_hat - y_hat.mean())
     denom = math.sqrt(float((yc**2).sum())) * math.sqrt(float((pc**2).sum()))
     if denom == 0.0:
         return math.nan
     return float((yc * pc).sum() / denom)
+
+
+def _unit_scaled(centered: np.ndarray) -> np.ndarray:
+    """Scale by the power of two that puts the largest magnitude in [0.5, 1).
+
+    Squares of values below ~1e-154 are subnormal and lose bits; squares
+    above ~1e154 overflow.  PCC is scale-free, and a power of two scales
+    exactly, so the result is unchanged wherever the unscaled sums stayed
+    normal.
+    """
+    return np.ldexp(centered, -np.frexp(np.abs(centered).max())[1])
 
 
 def mse_metric(y, y_hat) -> float:
@@ -101,33 +112,24 @@ def _nanmean(values: np.ndarray) -> float:
 def build_fold_report(
     fold_id: int,
     sample_pairs: list[tuple[np.ndarray, np.ndarray]],
-    pooled: bool = False,
 ) -> FoldReport:
     """Score one fold from (truth, prediction) pairs, one pair per sample.
 
-    Default: per-gene PCC within each sample, averaged over the fold's
-    samples (genes undefined in a sample are excluded from its average).
-    ``pooled`` instead concatenates all spots before correlating.
+    Per-gene PCC within each sample, averaged over the fold's samples (genes
+    undefined in a sample are excluded from its average).
     """
     if not sample_pairs:
         raise ContractError("fold report needs at least one sample")
-    if pooled:
-        truth = np.concatenate([t for t, _ in sample_pairs], axis=0)
-        pred = np.concatenate([p for _, p in sample_pairs], axis=0)
-        gene = per_gene_pcc(truth, pred)
-        mse = mse_metric(truth, pred)
-        mae = mae_metric(truth, pred)
-    else:
-        per_sample = np.stack([per_gene_pcc(t, p) for t, p in sample_pairs])
-        with np.errstate(invalid="ignore"):
-            gene = np.where(
-                np.isnan(per_sample).all(axis=0),
-                np.nan,
-                np.nansum(np.nan_to_num(per_sample), axis=0)
-                / np.maximum((~np.isnan(per_sample)).sum(axis=0), 1),
-            )
-        mse = float(np.mean([mse_metric(t, p) for t, p in sample_pairs]))
-        mae = float(np.mean([mae_metric(t, p) for t, p in sample_pairs]))
+    per_sample = np.stack([per_gene_pcc(t, p) for t, p in sample_pairs])
+    with np.errstate(invalid="ignore"):
+        gene = np.where(
+            np.isnan(per_sample).all(axis=0),
+            np.nan,
+            np.nansum(np.nan_to_num(per_sample), axis=0)
+            / np.maximum((~np.isnan(per_sample)).sum(axis=0), 1),
+        )
+    mse = float(np.mean([mse_metric(t, p) for t, p in sample_pairs]))
+    mae = float(np.mean([mae_metric(t, p) for t, p in sample_pairs]))
     return FoldReport(
         fold_id=fold_id,
         per_gene_pcc=gene,

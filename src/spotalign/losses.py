@@ -20,21 +20,6 @@ from .errors import ContractError, ShapeError
 
 
 @dataclass
-class Temperatures:
-    """Loss hyperparameters: softmax temperatures and the cross-level weight."""
-
-    tau: float = 0.07
-    tau_ig: float = 0.07
-    lam: float = 0.8
-
-    def __post_init__(self):
-        if self.tau <= 0 or self.tau_ig <= 0:
-            raise ContractError("temperatures must be positive")
-        if self.lam < 0:
-            raise ContractError("cross-level weight must be >= 0")
-
-
-@dataclass
 class LossBreakdown:
     multi_ins: float
     cross: float

@@ -306,6 +306,15 @@ def predict_expression(p: dict[str, DiffTensor], fused: DiffTensor) -> DiffTenso
     return ad.linear(fused, p["pred/w"], p["pred/b"])
 
 
+def _encode_image(p, batch, cfg, rng, training):
+    """Local, neighbor and global scales fused: (per-scale, fused)."""
+    i_local = project_scale(p, batch.local_feat, "local")
+    i_neighbor = neighbor_encode(p, batch.neighbor_feat, cfg, rng, training)
+    g_proj = project_scale(p, batch.local_feat, "global")
+    i_global = global_encode(p, g_proj, cfg, rng, training)
+    return scale_fusion(p, i_local, i_neighbor, i_global, cfg, rng, training)
+
+
 def forward_embeddings(
     p: dict[str, DiffTensor],
     batch: data_io.SpotBatch,
@@ -314,11 +323,7 @@ def forward_embeddings(
     training: bool = False,
 ) -> ScaleEmbeddings:
     """Full bimodal forward pass over one single-slide batch."""
-    i_local = project_scale(p, batch.local_feat, "local")
-    i_neighbor = neighbor_encode(p, batch.neighbor_feat, cfg, rng, training)
-    g_proj = project_scale(p, batch.local_feat, "global")
-    i_global = global_encode(p, g_proj, cfg, rng, training)
-    per_scale, fused = scale_fusion(p, i_local, i_neighbor, i_global, cfg, rng, training)
+    per_scale, fused = _encode_image(p, batch, cfg, rng, training)
     gene = gene_encode(p, batch.expression, cfg, rng, training)
     return ScaleEmbeddings(per_scale=per_scale, fused=fused, gene=gene)
 
@@ -329,11 +334,7 @@ def forward_image(
     cfg: ModelConfig,
 ) -> DiffTensor:
     """Inference pathway: image encoders plus the prediction head, eval mode."""
-    i_local = project_scale(p, batch.local_feat, "local")
-    i_neighbor = neighbor_encode(p, batch.neighbor_feat, cfg)
-    g_proj = project_scale(p, batch.local_feat, "global")
-    i_global = global_encode(p, g_proj, cfg)
-    _, fused = scale_fusion(p, i_local, i_neighbor, i_global, cfg)
+    _, fused = _encode_image(p, batch, cfg, None, False)
     return predict_expression(p, fused)
 
 

@@ -73,7 +73,6 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 @dataclass
 class FoldPlan:
     folds: dict[int, list[str]]  # fold id -> sample ids
-    patient_fold: dict[str, int]
 
     def test_samples(self, fold_id: int) -> list[str]:
         return list(self.folds[fold_id])
@@ -101,18 +100,16 @@ def make_folds(samples: list[tuple[str, str]], n_folds: int, seed: int) -> FoldP
     patients.sort(key=lambda p: -len(by_patient[p]))  # stable: keeps shuffle for ties
 
     folds: dict[int, list[str]] = {f: [] for f in range(n_folds)}
-    patient_fold: dict[str, int] = {}
     sizes = [0] * n_folds
     for p in patients:
         target = min(range(n_folds), key=lambda f: (sizes[f], f))
         folds[target].extend(by_patient[p])
-        patient_fold[p] = target
         sizes[target] += len(by_patient[p])
 
     assigned = [sid for fold in folds.values() for sid in fold]
     if sorted(assigned) != sorted(sid for sid, _ in samples):
         raise ContractError("internal error: fold plan lost or duplicated samples")
-    return FoldPlan(folds=folds, patient_fold=patient_fold)
+    return FoldPlan(folds=folds)
 
 
 # ---------------------------------------------------------------------------

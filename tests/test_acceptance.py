@@ -517,8 +517,9 @@ def test_fold_integrity():
                 seen[sid] = fold
         if len(seen) != len(samples):
             violations += 1
+        fold_of_patient = {pid: seen[sid] for sid, pid in samples}
         for sid, pid in samples:
-            if seen[sid] != plan.patient_fold[pid]:
+            if seen[sid] != fold_of_patient[pid]:
                 violations += 1
     criterion("fold-integrity", violations == 0, f"violations={violations}")
 

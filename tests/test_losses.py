@@ -8,6 +8,7 @@ import pytest
 from spotalign import autodiff as ad
 from spotalign import losses
 from spotalign.errors import ContractError, ShapeError
+from spotalign.trainer import TrainConfig
 
 
 def np_log_softmax(z):
@@ -316,6 +317,6 @@ class TestTotalLoss:
 
     def test_temperatures_validation(self):
         with pytest.raises(ContractError):
-            losses.Temperatures(tau=0.0)
+            TrainConfig(tau=0.0)
         with pytest.raises(ContractError):
-            losses.Temperatures(lam=-0.1)
+            TrainConfig(lam=-0.1)

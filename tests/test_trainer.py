@@ -72,8 +72,9 @@ class TestMakeFolds:
         plan = trainer.make_folds(samples, 8, seed=3)
         fold_sizes = [len(v) for v in plan.folds.values()]
         assert sum(fold_sizes) == 68
+        fold_of = {s: f for f, ss in plan.folds.items() for s in ss}
         for p, count in enumerate(sizes):
-            folds = {plan.patient_fold[f"p{p}"]}
+            folds = {fold_of[f"s{p}_{i}"] for i in range(count)}
             assert len(folds) == 1
         assert max(fold_sizes) - min(fold_sizes) <= int(sizes.max())
 
@@ -104,8 +105,9 @@ class TestMakeFolds:
                 assert s not in fold_of_sample
                 fold_of_sample[s] = f
         assert len(fold_of_sample) == len(samples)
+        fold_of_patient = {pid: fold_of_sample[sid] for sid, pid in samples}
         for sid, pid in samples:
-            assert fold_of_sample[sid] == plan.patient_fold[pid]
+            assert fold_of_sample[sid] == fold_of_patient[pid]
 
 
 class TestAdam:
@@ -173,10 +175,7 @@ class TestTrainFold:
     def test_patient_straddle_rejected_at_train_time(self):
         batches, mcfg = desk_setup()
         # deliberately corrupt plan: same patient on both sides
-        plan = trainer.FoldPlan(
-            folds={0: [batches[0].sample_id], 1: [batches[1].sample_id]},
-            patient_fold={},
-        )
+        plan = trainer.FoldPlan(folds={0: [batches[0].sample_id], 1: [batches[1].sample_id]})
         batches[1].patient_id = batches[0].patient_id
         object.__setattr__(batches[1], "patient_id", batches[0].patient_id)
         tcfg = trainer.TrainConfig(epochs=1, batch_size=30, k=4)
