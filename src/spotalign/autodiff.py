@@ -1,10 +1,11 @@
 """Dense-tensor arithmetic with tape-based reverse-mode differentiation.
 
 Everything the encoders and losses need is built from the primitives here:
-broadcasting elementwise arithmetic, (batched) matmul, reductions, a stable
-softmax over the last axis, GELU, dropout and row normalization.  Values are
-kept in float64 so repeated runs with the same seed reproduce gradients
-bitwise.
+broadcasting elementwise arithmetic, (batched) matmul and a fused linear
+layer, shape ops and a one-entry slice, reductions, GELU, dropout, and layer
+norm, softmax and log-softmax over the last axis as single tape nodes with a
+closed-form backward.  Values are kept in float64 so repeated runs with the
+same seed reproduce gradients bitwise.
 
 A :class:`Tape` is single-owner while recording and during backward; distinct
 tapes may be used from distinct threads.  Operations whose inputs are all
@@ -145,15 +146,6 @@ class DiffTensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -244,25 +236,6 @@ def mul(a, b) -> DiffTensor:
     return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
-def div(a, b) -> DiffTensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _binary(
-        a, b, a.data / b.data, lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)
-    )
-
-
-def neg(a) -> DiffTensor:
-    a = as_tensor(a)
-    return _make((a,), -a.data, lambda g: (-g,))
-
-
-def pow_const(a, exponent: float) -> DiffTensor:
-    """a ** c for a fixed scalar exponent."""
-    a = as_tensor(a)
-    data = a.data ** exponent
-    return _make((a,), data, lambda g: (g * exponent * a.data ** (exponent - 1.0),))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 
@@ -330,6 +303,20 @@ def reshape(a, shape) -> DiffTensor:
     return _make((a,), a.data.reshape(shape), lambda g: (g.reshape(original),))
 
 
+def take(a, index: int, axis: int) -> DiffTensor:
+    """Entry ``index`` along ``axis``, which is dropped; a fresh array."""
+    a = as_tensor(a)
+    shape = a.data.shape
+    where = (slice(None),) * (axis % a.ndim) + (index,)
+
+    def backward(g: np.ndarray):
+        full = np.zeros(shape)
+        full[where] = g
+        return (full,)
+
+    return _make((a,), a.data[where].copy(), backward)
+
+
 def concat(tensors: Sequence, axis: int = -1) -> DiffTensor:
     parts = [as_tensor(t) for t in tensors]
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -372,17 +359,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> DiffTensor:
 # nonlinearities
 
 
-def log(a) -> DiffTensor:
-    a = as_tensor(a)
-    return _make((a,), np.log(a.data), lambda g: (g / a.data,))
-
-
-def exp(a) -> DiffTensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-    return _make((a,), data, lambda g: (g * data,))
-
-
 def gelu(a) -> DiffTensor:
     """GELU in the tanh approximation."""
     a = as_tensor(a)
@@ -414,10 +390,13 @@ def softmax_rows(a) -> DiffTensor:
 
 
 def log_softmax_rows(a) -> DiffTensor:
-    """log(softmax) along the last axis; shift by a detached row max for stability."""
+    """log(softmax) along the last axis; shift by the row max for stability."""
     a = as_tensor(a)
-    shifted = a - constant(a.data.max(axis=-1, keepdims=True))
-    return shifted - log(tsum(exp(shifted), axis=-1, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    data = shifted - np.log(total)
+    return _make((a,), data, lambda g: (g - g.sum(axis=-1, keepdims=True) / total * e,))
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, training: bool = True) -> DiffTensor:
@@ -433,23 +412,33 @@ def dropout(a, rate: float, rng: np.random.Generator | None, training: bool = Tr
     return mul(a, constant(keep))
 
 
-def l2_normalize_rows(a) -> DiffTensor:
-    """Scale each row to unit Euclidean norm; a row of all zeros raises."""
-    a = as_tensor(a)
-    sq = tsum(mul(a, a), axis=-1, keepdims=True)
-    if np.any(sq.data == 0.0):
-        raise ContractError("l2_normalize_rows: zero row (degenerate embedding)")
-    return mul(a, pow_const(sq, -0.5))
-
-
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> DiffTensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
-    a = as_tensor(a)
-    mu = tmean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = pow_const(var + eps, -0.5)
-    return add(mul(mul(centered, inv), as_tensor(gain)), as_tensor(bias))
+    """Normalize over the last axis, then apply elementwise gain and bias.
+
+    The backward is the closed form of Ba, Kiros & Hinton (2016): with
+    n = (x - mean) / std and gn = g * gain,
+    dx = (gn - mean(gn) - n * mean(gn * n)) / std.
+    """
+    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
+    scale = 1.0 / a.data.shape[-1]
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) * scale
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    norm = centered * inv
+    data = norm * gain.data + bias.data
+
+    def backward(g: np.ndarray):
+        dx = None
+        if a.tape is not None:
+            gn = g * gain.data
+            mean_gn = gn.sum(axis=-1, keepdims=True) * scale
+            dx = inv * (gn - mean_gn - norm * ((gn * norm).sum(axis=-1, keepdims=True) * scale))
+        return (
+            dx,
+            _unbroadcast(g * norm, gain.data.shape) if gain.tape is not None else None,
+            _unbroadcast(g, bias.data.shape) if bias.tape is not None else None,
+        )
+
+    return _make((a, gain, bias), data, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,8 @@ def cmd_render(args) -> int:
     if not sample_ids:
         raise DataError(f"{args.predictions}: no prediction entries")
     sid = args.sample or sample_ids[0]
-    if f"pred:{sid}" not in entries:
-        raise DataError(f"{args.predictions}: no prediction for sample {sid!r}")
+    if f"pred:{sid}" not in entries or f"coords:{sid}" not in entries:
+        raise DataError(f"{args.predictions}: sample {sid!r} needs a pred and a coords entry")
 
     genes_path = Path(args.genes) if args.genes else Path(args.predictions).parent / "genes.txt"
     gene_names = data_io.read_gene_list(genes_path)
@@ -294,6 +294,9 @@ def cmd_render(args) -> int:
     gi = gene_names.index(args.gene)
 
     pred = entries[f"pred:{sid}"]
+    if pred.ndim != 2 or pred.shape[1] != len(gene_names):
+        raise DataError(f"{args.predictions}: pred:{sid} has shape {pred.shape}, not N x "
+                        f"{len(gene_names)} as {genes_path} names")
     coords = entries[f"coords:{sid}"]
     render.render_hex_svg(coords, pred[:, gi], args.out, title=f"{sid} {args.gene}")
     print(f"svg={args.out}")
@@ -348,10 +351,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:
+    except (ConfigError, ContractError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except (DataError, ShapeError) as exc:

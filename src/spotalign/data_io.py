@@ -102,7 +102,10 @@ def read_container(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = unpack("<H", offset)
         offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: entry name at byte {offset} is not UTF-8") from exc
         offset += name_len
         tag, rank = unpack("<BB", offset)
         offset += 2
@@ -270,9 +273,9 @@ def read_manifest(path) -> configparser.ConfigParser:
 def load_study(manifest_path) -> list[SpotBatch]:
     """Load every sample in a manifest, cross-checking dimensions.
 
-    Zero-total spots are dropped during preprocessing; the drop count is
-    recorded on the returned batches' study-level attribute by the caller
-    if needed (the count is also reachable via preprocess_expression).
+    Image features must be finite, and every sample must have the first
+    sample's feature dimension and neighbor-token count.  Zero-total spots
+    are dropped during preprocessing.
     """
     manifest_path = Path(manifest_path)
     parser = read_manifest(manifest_path)
@@ -293,6 +296,7 @@ def load_study(manifest_path) -> list[SpotBatch]:
     gene_list = read_gene_list(base / study["genes"])
 
     batches = []
+    first = None
     for section in sample_sections:
         sid = section.split(":", 1)[1]
         entry = parser[section]
@@ -325,22 +329,35 @@ def load_study(manifest_path) -> list[SpotBatch]:
             raise DataError(
                 f"{expr_path}: {counts.shape[1]} gene columns, expected {len(column_names)}"
             )
+        if first is None:  # every sample must have the first one's per-spot shapes
+            first = sid, local.shape[1:], (neighbor.shape[1], local.shape[1])
+        for path, arr, want in ((local_path, local, first[1]), (neighbor_path, neighbor, first[2])):
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"{path}: image features must be finite")
+            if arr.shape[1:] != want:
+                raise DataError(f"{path}: per-spot shape {arr.shape[1:]}, "
+                                f"expected {want} as in sample {first[0]}")
 
-        pre = preprocess_expression(counts, column_names, gene_list)
-        if pre.n_dropped:
-            warnings.warn(f"sample {sid}: dropped {pre.n_dropped} zero-total spots")
-        keep = pre.keep_mask
-        batches.append(
-            SpotBatch(
-                sample_id=sid,
-                patient_id=entry["patient"],
-                local_feat=local[keep].astype(np.float64),
-                neighbor_feat=neighbor[keep].astype(np.float64),
-                expression=pre.expression,
-                coords=coords[keep],
-            )
-        )
+        batches.append(_spot_batch(
+            sid, entry["patient"], local, neighbor, counts, coords, column_names, gene_list
+        ))
     return batches
+
+
+def _spot_batch(sid, patient, local, neighbor, counts, coords, column_names, gene_list):
+    """Preprocess one sample's counts and keep the spots that survive."""
+    pre = preprocess_expression(counts, column_names, gene_list)
+    if pre.n_dropped:
+        warnings.warn(f"sample {sid}: dropped {pre.n_dropped} zero-total spots")
+    keep = pre.keep_mask
+    return SpotBatch(
+        sample_id=sid,
+        patient_id=patient,
+        local_feat=np.asarray(local[keep], dtype=np.float64),
+        neighbor_feat=np.asarray(neighbor[keep], dtype=np.float64),
+        expression=pre.expression,
+        coords=coords[keep],
+    )
 
 
 def _expect_entry(path, name: str, ndim: int) -> np.ndarray:
@@ -499,23 +516,13 @@ def synth_generate(spec: SynthSpec) -> SynthStudy:
 
 def batches_from_study(study: SynthStudy) -> list[SpotBatch]:
     """Preprocess a synthetic study into per-sample SpotBatches."""
-    batches = []
-    for s in study.samples:
-        pre = preprocess_expression(s.counts, study.column_names, study.gene_list)
-        if pre.n_dropped:
-            warnings.warn(f"sample {s.sample_id}: dropped {pre.n_dropped} zero-total spots")
-        keep = pre.keep_mask
-        batches.append(
-            SpotBatch(
-                sample_id=s.sample_id,
-                patient_id=s.patient_id,
-                local_feat=s.local[keep],
-                neighbor_feat=s.neighbor[keep],
-                expression=pre.expression,
-                coords=s.coords[keep],
-            )
+    return [
+        _spot_batch(
+            s.sample_id, s.patient_id, s.local, s.neighbor, s.counts, s.coords,
+            study.column_names, study.gene_list,
         )
-    return batches
+        for s in study.samples
+    ]
 
 
 def write_study(study: SynthStudy, out_dir) -> Path:

@@ -43,6 +43,14 @@ def group_project(p: dict[str, DiffTensor], e_ins, modality: str) -> DiffTensor:
     return ad.linear(x, p[f"group_{modality}/w"], p[f"group_{modality}/b"])
 
 
+def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Scale each row to unit Euclidean norm; a row of all zeros raises."""
+    sq = (x * x).sum(axis=-1, keepdims=True)
+    if np.any(sq == 0.0):
+        raise ContractError("l2_normalize_rows: zero row (degenerate embedding)")
+    return x * sq ** -0.5
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
@@ -134,7 +142,7 @@ def kmeans(
     if not np.all(np.isfinite(points)):
         raise ContractError("kmeans requires finite inputs")
     if normalize:
-        points = ad.l2_normalize_rows(ad.constant(points)).data
+        points = l2_normalize_rows(points)
 
     best = None
     for restart in range(max(1, n_init)):

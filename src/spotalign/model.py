@@ -268,11 +268,7 @@ def scale_fusion(
     for i in range(cfg.fusion_blocks):
         x = attention_block(x, p, f"fusion/block{i}", cfg.heads, cfg.dropout, rng, training)
 
-    tokens = []
-    for s in range(3):
-        selector = np.zeros((1, 3, 1))
-        selector[0, s, 0] = 1.0
-        tokens.append(ad.tsum(ad.mul(x, ad.constant(selector)), axis=1))
+    tokens = [ad.take(x, s, axis=1) for s in range(3)]
     if cfg.fusion_mode == "mean":
         fused = (tokens[0] + tokens[1] + tokens[2]) * (1.0 / 3.0)
     else:

@@ -1,7 +1,8 @@
 """Tests for the reverse-mode tensor core.
 
 Expected values come from independent oracles: hand arithmetic, scalar
-re-evaluation with math.exp, and the central finite-difference checker.
+re-evaluation with math.exp, the central finite-difference checker, and the
+composites that the fused primitives replaced.
 """
 
 import gc
@@ -120,14 +121,6 @@ class TestElementwiseOps:
         with pytest.raises(ContractError):
             ad.dropout(ad.constant([1.0]), 1.0, np.random.default_rng(0))
 
-    def test_l2_normalize_hand_case(self):
-        out = ad.l2_normalize_rows(ad.constant([[3.0, 4.0]]))
-        np.testing.assert_allclose(out.data, [[0.6, 0.8]], rtol=1e-15)
-
-    def test_l2_normalize_zero_row_errors_by_default(self):
-        with pytest.raises(ContractError, match="zero row"):
-            ad.l2_normalize_rows(ad.constant([[0.0, 0.0], [1.0, 0.0]]))
-
     def test_concat_roundtrip_gradient(self):
         rng = np.random.default_rng(11)
         b = ad.constant(rng.normal(size=(3, 2)))
@@ -140,12 +133,114 @@ class TestElementwiseOps:
 
     def test_layer_norm_gradient(self):
         rng = np.random.default_rng(13)
-        g = ad.constant(rng.normal(size=(5,)))
-        b = ad.constant(rng.normal(size=(5,)))
-        err = ad.grad_check(
-            lambda x: ad.tsum(ad.gelu(ad.layer_norm(x, g, b))), rng.normal(size=(3, 5))
-        )
-        assert err <= 1e-4
+        for shape in ((3, 5), (2, 3, 5)):
+            args = (rng.normal(size=shape), rng.normal(size=(5,)), rng.normal(size=(5,)))
+            for i in range(3):  # input, gain, bias
+                def f(t, i=i):
+                    operands = [ad.constant(a) for a in args]
+                    operands[i] = t
+                    return ad.tsum(ad.gelu(ad.layer_norm(*operands)))
+
+                assert ad.grad_check(f, args[i]) <= 1e-4, (shape, i)
+
+
+# ---------------------------------------------------------------------------
+# references: the composites that the fused primitives replaced, kept verbatim
+# with the exp, log and pow_const primitives they were built from
+
+
+def ref_log(a):
+    a = ad.as_tensor(a)
+    return ad._make((a,), np.log(a.data), lambda g: (g / a.data,))
+
+
+def ref_exp(a):
+    a = ad.as_tensor(a)
+    data = np.exp(a.data)
+    return ad._make((a,), data, lambda g: (g * data,))
+
+
+def ref_pow_const(a, exponent: float):
+    a = ad.as_tensor(a)
+    data = a.data ** exponent
+    return ad._make((a,), data, lambda g: (g * exponent * a.data ** (exponent - 1.0),))
+
+
+def ref_log_softmax_rows(a):
+    a = ad.as_tensor(a)
+    shifted = a - ad.constant(a.data.max(axis=-1, keepdims=True))
+    return shifted - ref_log(ad.tsum(ref_exp(shifted), axis=-1, keepdims=True))
+
+
+def ref_layer_norm(a, gain, bias, eps: float = 1e-5):
+    a = ad.as_tensor(a)
+    mu = ad.tmean(a, axis=-1, keepdims=True)
+    centered = ad.sub(a, mu)
+    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ref_pow_const(var + eps, -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv), ad.as_tensor(gain)), ad.as_tensor(bias))
+
+
+def ref_token(x, s):
+    """Token ``s`` of an (N, 3, d) tensor by one-hot mask and sum."""
+    selector = np.zeros((1, 3, 1))
+    selector[0, s, 0] = 1.0
+    return ad.tsum(ad.mul(x, ad.constant(selector)), axis=1)
+
+
+def output_and_grads(op, *arrays):
+    """op's output and the gradients of <op(leaves), w> for fixed random w."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    y = op(*leaves)
+    w = np.random.default_rng(99).normal(size=y.shape)
+    grads = tape.backward(ad.tsum(ad.mul(y, ad.constant(w))))
+    return [y.data] + [grads[t.node_id] for t in leaves]
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestFusedPrimitives:
+    """Each fused primitive against the composite it replaced."""
+
+    @pytest.mark.parametrize("shape,view", [
+        ((4, 6), lambda t: t),
+        ((6, 4), ad.transpose),  # the gene-to-image direction of the losses
+        ((2, 3, 5), lambda t: t),
+    ])
+    def test_log_softmax_matches_composite_bytewise(self, shape, view):
+        x = np.random.default_rng(len(shape)).normal(size=shape) * 4.0
+        got = output_and_grads(lambda t: ad.log_softmax_rows(view(t)), x)
+        want = output_and_grads(lambda t: ref_log_softmax_rows(view(t)), x)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+
+    @pytest.mark.parametrize("token", range(3))
+    def test_take_matches_mask_sum_bytewise(self, token):
+        x = np.random.default_rng(token).normal(size=(4, 3, 5))
+        got = output_and_grads(lambda t: ad.take(t, token, axis=1), x)
+        want = output_and_grads(lambda t: ref_token(t, token), x)
+        assert_same_bytes(got[0], want[0])
+        assert_same_bytes(got[1][:, token], want[1][:, token])
+        # off the token the mask leaves g * 0.0, whose sign follows g
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("shape", [(4, 6), (2, 3, 6)])
+    def test_layer_norm_matches_composite(self, shape):
+        rng = np.random.default_rng(len(shape))
+        args = (rng.normal(size=shape) * 3.0 + 1.0, rng.normal(size=(6,)), rng.normal(size=(6,)))
+        got = output_and_grads(ad.layer_norm, *args)
+        want = output_and_grads(ref_layer_norm, *args)
+        y, dx, dgain, dbias = got
+        ref_y, ref_dx, ref_dgain, ref_dbias = want
+        for g, w in ((y, ref_y), (dgain, ref_dgain), (dbias, ref_dbias)):
+            assert_same_bytes(g, w)
+        # only dx has a new formula, which rounds differently
+        assert dx.shape == ref_dx.shape
+        assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
 
 
 class TestBackward:

@@ -356,6 +356,22 @@ def assert_one_data_error(code, err):
     assert err.startswith("error: data: ") and err.count("\n") == 1, err
 
 
+def run_on_study(command, study_dir):
+    """Exit code of ``command`` on the study under ``study_dir``."""
+    manifest = study_dir / "study" / "manifest.ini"
+    if command == "train":
+        config = study_dir / "run.ini"
+        config.write_text(RUN_CONFIG)
+        return main(["train", "--config", str(config)])
+    cfg = ModelConfig(n_genes=10, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16)
+    checkpoint = study_dir / "ck.gdml"
+    model.save_checkpoint(checkpoint, model.init_params(cfg, 0), cfg)
+    return main([
+        command, "--checkpoint", str(checkpoint),
+        "--manifest", str(manifest), "--out", str(study_dir / "p"),
+    ])
+
+
 class TestMalformedInputs:
     def test_container_truncated_at_every_offset_exits_3(self, tmp_path, capsys):
         full = tmp_path / "full.gdml"
@@ -368,6 +384,12 @@ class TestMalformedInputs:
                 "render", "--predictions", str(cut), "--gene", "g0", "--out", str(tmp_path / "x.svg"),
             ])
             assert_one_data_error(code, capsys.readouterr().err)
+        # a name that is not UTF-8: byte 12 is the first byte of the first name
+        cut.write_bytes(blob[:12] + b"\xff" + blob[13:])
+        code = main([
+            "render", "--predictions", str(cut), "--gene", "g0", "--out", str(tmp_path / "x.svg"),
+        ])
+        assert_one_data_error(code, capsys.readouterr().err)
 
     def test_truncated_checkpoint_exits_3(self, study_dir, capsys):
         cfg = ModelConfig(n_genes=10, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16)
@@ -393,20 +415,37 @@ class TestMalformedInputs:
         else:
             key = fault.rsplit("_", 1)[1]
             manifest.write_text(manifest.read_text().replace(f"{key} = {key}.txt\n", ""))
+        assert_one_data_error(run_on_study(command, study_dir), capsys.readouterr().err)
 
-        if command == "train":
-            config = study_dir / "run.ini"
-            config.write_text(RUN_CONFIG)
-            code = main(["train", "--config", str(config)])
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    @pytest.mark.parametrize("fault,file", [
+        ("nan_local", "S01_local.gdml"),
+        ("inf_neighbor", "S01_neighbor.gdml"),
+        ("d_in", "S01_local.gdml"),
+        ("tokens", "S01_neighbor.gdml"),
+    ])
+    def test_bad_image_features_exit_3_naming_the_file(
+        self, study_dir, capsys, command, fault, file
+    ):
+        study = study_dir / "study"
+
+        def rewrite(entry, change):
+            path = study / f"S01_{entry}.gdml"
+            data_io.write_container(path, {entry: change(data_io.read_container(path)[entry])})
+
+        if fault == "nan_local":
+            rewrite("local", lambda a: np.where(a == a.flat[7], np.nan, a))
+        elif fault == "inf_neighbor":
+            rewrite("neighbor", lambda a: np.where(a == a.flat[7], np.inf, a))
+        elif fault == "d_in":
+            rewrite("local", lambda a: a[:, :-1])
+            rewrite("neighbor", lambda a: a[:, :, :-1])
         else:
-            cfg = ModelConfig(n_genes=10, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16)
-            checkpoint = study_dir / "ck.gdml"
-            model.save_checkpoint(checkpoint, model.init_params(cfg, 0), cfg)
-            code = main([
-                "predict", "--checkpoint", str(checkpoint),
-                "--manifest", str(manifest), "--out", str(study_dir / "p"),
-            ])
-        assert_one_data_error(code, capsys.readouterr().err)
+            rewrite("neighbor", lambda a: a[:, :-1])
+        code = run_on_study(command, study_dir)
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert file in err
 
 
 class TestRenderFixture:
@@ -451,6 +490,27 @@ class TestRenderErrors:
         ])
         assert code == 3
         assert "error: data" in capsys.readouterr().err
+
+    def test_prediction_without_coords_exits_3(self, tmp_path, capsys):
+        fixture = tmp_path / "p.gdml"
+        data_io.write_container(fixture, {"pred:T": np.ones((2, 3))})
+        data_io.write_gene_list(tmp_path / "genes.txt", ["g0", "g1", "g2"])
+        code = main([
+            "render", "--predictions", str(fixture), "--gene", "g0", "--out", str(tmp_path / "x.svg"),
+        ])
+        assert_one_data_error(code, capsys.readouterr().err)
+
+    def test_fewer_prediction_columns_than_genes_exits_3(self, tmp_path, capsys):
+        fixture = tmp_path / "p.gdml"
+        data_io.write_container(fixture, {
+            "pred:T": np.ones((2, 2)),
+            "coords:T": np.array([[0, 0], [0, 1]], dtype=np.int32),
+        })
+        data_io.write_gene_list(tmp_path / "genes.txt", ["g0", "g1", "g2"])
+        code = main([
+            "render", "--predictions", str(fixture), "--gene", "g2", "--out", str(tmp_path / "x.svg"),
+        ])
+        assert_one_data_error(code, capsys.readouterr().err)
 
 
 class TestHelp:

@@ -123,6 +123,16 @@ class TestGroupProject:
             grouping.group_project(params, np.ones((2, 4)), "audio")
 
 
+class TestL2Normalize:
+    def test_hand_case(self):
+        out = grouping.l2_normalize_rows(np.array([[3.0, 4.0]]))
+        np.testing.assert_allclose(out, [[0.6, 0.8]], rtol=1e-15)
+
+    def test_zero_row_raises(self):
+        with pytest.raises(ContractError, match="zero row"):
+            grouping.l2_normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
 class TestKMeans:
     def test_saturation_each_point_its_own_centroid(self):
         rng = np.random.default_rng(2)
