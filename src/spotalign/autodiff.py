@@ -3,9 +3,10 @@
 Everything the encoders and losses need is built from the primitives here:
 broadcasting elementwise arithmetic, (batched) matmul and a fused linear
 layer, shape ops and a one-entry slice, reductions, GELU, dropout, and layer
-norm, softmax and log-softmax over the last axis as single tape nodes with a
-closed-form backward.  Values are kept in float64 so repeated runs with the
-same seed reproduce gradients bitwise.
+norm, log-softmax over the last axis and multi-head attention as single tape
+nodes with a closed-form backward.  ``softmax_rows`` is plain numpy on
+arrays and records nothing.  Values are kept in float64 so repeated runs with
+the same seed reproduce gradients bitwise.
 
 A :class:`Tape` is single-owner while recording and during backward; distinct
 tapes may be used from distinct threads.  Operations whose inputs are all
@@ -22,6 +23,7 @@ gradients may alias views of one another.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -290,13 +292,6 @@ def transpose(a) -> DiffTensor:
     return _make((a,), np.swapaxes(a.data, -1, -2), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def permute(a, axes: Sequence[int]) -> DiffTensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    return _make((a,), a.data.transpose(axes), lambda g: (g.transpose(inverse),))
-
-
 def reshape(a, shape) -> DiffTensor:
     a = as_tensor(a)
     original = a.data.shape
@@ -375,18 +370,12 @@ def gelu(a) -> DiffTensor:
     return _make((a,), data, backward)
 
 
-def softmax_rows(a) -> DiffTensor:
-    """Stable softmax along the last axis (the rows of a matrix)."""
-    a = as_tensor(a)
-    data = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
-
-    def backward(g: np.ndarray):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - dot),)
-
-    return _make((a,), data, backward)
+def softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Stable softmax along the last axis of a plain array, in place; returns ``a``."""
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
 
 
 def log_softmax_rows(a) -> DiffTensor:
@@ -439,6 +428,46 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> DiffTensor:
         )
 
     return _make((a, gain, bias), data, backward)
+
+
+def attention(q, k, v, heads: int) -> DiffTensor:
+    """Multi-head scaled dot-product attention over (B, T, d) inputs, one node.
+
+    Splits d into ``heads`` heads of width dh, takes the row softmax P of
+    S = q kᵀ / sqrt(dh) per head and merges the heads of P v back to
+    (B, T, d).  The backward uses the closed-form softmax Jacobian of
+    Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
+        raise ShapeError(f"attention needs equal (B, T, d) inputs with d divisible by "
+                         f"heads={heads}, got {q.shape}, {k.shape}, {v.shape}")
+    b, t, d = q.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(z: np.ndarray) -> np.ndarray:  # a (B, H, T, dh) view
+        return z.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(z: np.ndarray) -> np.ndarray:  # a fresh (B, T, d) array
+        return np.ascontiguousarray(z.transpose(0, 2, 1, 3)).reshape(b, t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ np.swapaxes(kh, -1, -2)
+    probs *= scale
+    softmax_rows(probs)
+
+    def backward(g: np.ndarray):
+        gc = np.ascontiguousarray(split(g))
+        gv = merge(np.swapaxes(probs, -1, -2) @ gc) if v.tape is not None else None
+        gp = gc @ np.swapaxes(vh, -1, -2)
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+        gs *= scale
+        gq = merge(gs @ kh) if q.tape is not None else None
+        gk = merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)) if k.tape is not None else None
+        return gq, gk, gv
+
+    return _make((q, k, v), merge(probs @ vh), backward)
 
 
 # ---------------------------------------------------------------------------

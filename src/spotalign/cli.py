@@ -194,7 +194,6 @@ def cmd_train(args) -> int:
     reports = []
     for fold_id in fold_ids:
         result = results[fold_id]
-        model.save_checkpoint(out_dir / f"fold{fold_id}_best.gdml", result.params_best, model_cfg)
         model.save_checkpoint(out_dir / f"fold{fold_id}_final.gdml", result.params_final, model_cfg)
         (out_dir / f"fold{fold_id}_train.log").write_text(
             "".join(line + "\n" for line in result.log_lines)
@@ -202,7 +201,7 @@ def cmd_train(args) -> int:
         test_batches = [b for b in batches if b.sample_id in set(plan.folds[fold_id])]
         if test_batches:
             reports.append(
-                trainer.evaluate_fold(fold_id, result.params_best, model_cfg, test_batches)
+                trainer.evaluate_fold(fold_id, result.params_final, model_cfg, test_batches)
             )
 
     if reports:

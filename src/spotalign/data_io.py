@@ -111,10 +111,12 @@ def read_container(path) -> dict[str, np.ndarray]:
         offset += 2
         if tag not in _TAG_TO_DTYPE:
             raise DataError(f"{path}: unknown dtype tag {tag} for entry {name!r}")
+        if rank > 64:  # numpy's limit on array dimensions
+            raise DataError(f"{path}: entry {name!r} has rank {rank}, above numpy's 64")
         dims = unpack(f"<{rank}I", offset) if rank else ()
         offset += 4 * rank
         dtype = _TAG_TO_DTYPE[tag]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize  # exact: corrupt dims cannot wrap
         payload = blob[offset : offset + nbytes]
         if len(payload) != nbytes:
             raise DataError(f"{path}: truncated payload for entry {name!r}")

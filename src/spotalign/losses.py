@@ -122,8 +122,8 @@ def cross_level_loss(
         if soft_targets is not None:
             t_img, t_gene = soft_targets
         else:
-            t_img = ad.softmax_rows(ad.constant(logits_img.data)).data
-            t_gene = ad.softmax_rows(ad.constant(logits_gene.data)).data
+            t_img = ad.softmax_rows(logits_img.data.copy())
+            t_gene = ad.softmax_rows(logits_gene.data.copy())
     else:
         raise ContractError(f"target_mode must be 'hard' or 'soft', got {target_mode!r}")
     return (_weighted_nll(logits_img, t_img) + _weighted_nll(logits_gene, t_gene)) * (1.0 / n)

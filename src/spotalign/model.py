@@ -45,6 +45,8 @@ class ModelConfig:
     fusion_mode: str = "mean"
 
     def __post_init__(self):
+        if self.heads < 1 or self.d < 1:
+            raise ContractError(f"d={self.d} and heads={self.heads} must be >= 1")
         if self.d % self.heads != 0:
             raise ContractError(f"d={self.d} must be divisible by heads={self.heads}")
         if self.fusion_mode not in _FUSION_MODES:
@@ -159,22 +161,11 @@ def attention_block(
 
     ``x`` is a batch of token sequences, shape (B, T, d).
     """
-    b, t, d = x.shape
-    dh = d // heads
-
     h = ad.layer_norm(x, p[f"{prefix}/ln1/g"], p[f"{prefix}/ln1/b"])
     q = ad.linear(h, p[f"{prefix}/attn/wq"], p[f"{prefix}/attn/bq"])
     k = ad.linear(h, p[f"{prefix}/attn/wk"], p[f"{prefix}/attn/bk"])
     v = ad.linear(h, p[f"{prefix}/attn/wv"], p[f"{prefix}/attn/bv"])
-
-    def split(z):
-        return ad.permute(ad.reshape(z, (b, t, heads, dh)), (0, 2, 1, 3))
-
-    q, k, v = split(q), split(k), split(v)  # (B, H, T, dh)
-    scores = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(dh))
-    weights = ad.softmax_rows(scores)  # (B, H, T, T)
-    context = ad.matmul(weights, v)  # (B, H, T, dh)
-    context = ad.reshape(ad.permute(context, (0, 2, 1, 3)), (b, t, d))
+    context = ad.attention(q, k, v, heads)
     attn_out = ad.linear(context, p[f"{prefix}/attn/wo"], p[f"{prefix}/attn/bo"])
     x = x + ad.dropout(attn_out, drop, rng, training)
 
@@ -228,13 +219,8 @@ def global_encode(
     cfg: ModelConfig,
     rng=None,
     training: bool = False,
-    sample_ids=None,
 ) -> DiffTensor:
     """One transformer block attending across all spots of a single slide."""
-    if sample_ids is not None and len(set(sample_ids)) > 1:
-        raise ContractError(
-            f"global context requires a single slide, got samples {sorted(set(sample_ids))}"
-        )
     n, d = local_proj.shape
     x = ad.reshape(local_proj, (1, n, d))
     for i in range(cfg.global_blocks):
@@ -354,29 +340,34 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: ModelConfig) -> No
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
+    """Parameters and config of a checkpoint; anything that does not describe
+    a valid model raises DataError."""
     entries = data_io.read_container(path)
     kwargs = {}
     for f in fields(ModelConfig):
-        key = f"config:{f.name}"
-        if key not in entries:
-            raise DataError(f"checkpoint {path} missing config entry {f.name!r}")
-        raw = float(entries[key][0])
-        if f.name in _CONFIG_STR_FIELDS:
-            kwargs[f.name] = _CONFIG_STR_FIELDS[f.name][int(raw)]
-        elif f.type == "float":
-            kwargs[f.name] = raw
-        else:
-            kwargs[f.name] = int(raw)
-    cfg = ModelConfig(**kwargs)
+        entry = entries.get(f"config:{f.name}")
+        if entry is None or entry.shape != (1,) or not np.isfinite(entry[0]):
+            raise DataError(f"checkpoint {path}: config entry {f.name!r} is not one finite number")
+        raw = float(entry[0])
+        choices = _CONFIG_STR_FIELDS.get(f.name, ())
+        value = raw if f.type == "float" else int(raw)
+        if value != raw or choices and not 0 <= value < len(choices):
+            raise DataError(f"checkpoint {path}: config entry {f.name!r} has bad value {raw!r}")
+        kwargs[f.name] = choices[value] if choices else value
+    try:
+        cfg = ModelConfig(**kwargs)
+    except ContractError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from exc
     params = {
         name[len("param:") :]: arr for name, arr in entries.items() if name.startswith("param:")
     }
-    expected = param_shapes(cfg)
-    if set(params) != set(expected):
+    # a corrupt block count must not make param_shapes loop for ever
+    blocks = cfg.neighbor_blocks + cfg.global_blocks + cfg.fusion_blocks
+    if not 0 <= blocks <= len(params) or set(params) != set(expected := param_shapes(cfg)):
         raise DataError(f"checkpoint {path} parameter names do not match its config")
     for name, shape in expected.items():
-        if params[name].shape != shape:
+        if params[name].shape != shape or not np.isfinite(params[name]).all():
             raise DataError(
-                f"checkpoint {path}: {name} has shape {params[name].shape}, expected {shape}"
+                f"checkpoint {path}: {name} must be finite of shape {shape}, got {params[name].shape}"
             )
     return params, cfg

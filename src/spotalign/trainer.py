@@ -9,7 +9,6 @@ function of (data, config) and repeats bitwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,10 +158,7 @@ def adam_step(
 
 @dataclass
 class TrainResult:
-    params_best: dict[str, np.ndarray]
     params_final: dict[str, np.ndarray]
-    best_epoch: int
-    best_pcc_a: float
     history: list[dict] = field(default_factory=list)
     log_lines: list[str] = field(default_factory=list)
 
@@ -195,7 +191,7 @@ def train_fold(
     cfg: TrainConfig,
     on_line=None,
 ) -> TrainResult:
-    """Train one fold; checkpoints the best-validation and final parameters.
+    """Train one fold and return its final parameters.
 
     Per step: forward both modalities, refresh centroids from the batch's
     grouping features (skipped for sub-k batches, which reuse the previous
@@ -228,10 +224,6 @@ def train_fold(
     ).mean(axis=0)
     adam = init_adam(params)
     centroids_prev: tuple[np.ndarray, np.ndarray] | None = None
-
-    best_pcc = -math.inf
-    best_epoch = -1
-    params_best = {k: v.copy() for k, v in params.items()}
     history: list[dict] = []
     step = 0
 
@@ -320,30 +312,17 @@ def train_fold(
             step += 1
 
         summary = {"epoch": epoch, "lr": lr, "mean_total": epoch_total / max(len(schedule), 1)}
-        if test_batches:
+        if test_batches:  # a test-fold reading per epoch; it selects nothing
             report = evaluate_fold(fold_id, params, model_cfg, test_batches)
             summary["val_pcc_a"] = report.pcc_a
             summary["val_mse"] = report.mse
-            if report.pcc_a > best_pcc:
-                best_pcc = report.pcc_a
-                best_epoch = epoch
-                params_best = {k: v.copy() for k, v in params.items()}
         history.append(summary)
         emit(
             f"epoch={epoch} mean_total={summary['mean_total']:.6f}"
             + (f" val_pcc_a={summary['val_pcc_a']:.6f}" if "val_pcc_a" in summary else "")
         )
 
-    if best_epoch < 0:  # no validation data: best == final
-        params_best = {k: v.copy() for k, v in params.items()}
-    return TrainResult(
-        params_best=params_best,
-        params_final={k: v.copy() for k, v in params.items()},
-        best_epoch=best_epoch,
-        best_pcc_a=best_pcc if best_epoch >= 0 else math.nan,
-        history=history,
-        log_lines=log,
-    )
+    return TrainResult(params_final=params, history=history, log_lines=log)
 
 
 def _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch):

@@ -481,15 +481,7 @@ def test_training_determinism():
         for name in a.params_final
         if a.params_final[name].tobytes() != b.params_final[name].tobytes()
     ]
-    best_match = all(
-        a.params_best[name].tobytes() == b.params_best[name].tobytes()
-        for name in a.params_best
-    )
-    criterion(
-        "determinism",
-        not mismatched and best_match,
-        f"mismatched={mismatched[:3]}",
-    )
+    criterion("determinism", not mismatched, f"mismatched={mismatched[:3]}")
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +542,7 @@ def test_cli_smoke(tmp_path):
     codes = [cli_main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "study")])]
     codes.append(cli_main(["train", "--config", str(config)]))
     manifest = str(tmp_path / "study" / "manifest.ini")
-    checkpoint = str(tmp_path / "run" / "fold0_best.gdml")
+    checkpoint = str(tmp_path / "run" / "fold0_final.gdml")
     codes.append(cli_main(["eval", "--checkpoint", checkpoint, "--manifest", manifest,
                            "--out", str(tmp_path / "evalout")]))
     codes.append(cli_main(["predict", "--checkpoint", checkpoint, "--manifest", manifest,

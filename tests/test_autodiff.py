@@ -57,39 +57,45 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform_row(self):
-        out = ad.softmax_rows(ad.constant([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
+        out = ad.softmax_rows(np.array([[0.0, 0.0]]))
+        np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_scalar_oracle(self):
         # independent scalar evaluation of the softmax definition
         e1, e0 = math.exp(1.0), math.exp(0.0)
         expected = [e1 / (e1 + e0), e0 / (e1 + e0)]
-        out = ad.softmax_rows(ad.constant([[1.0, 0.0]]))
-        np.testing.assert_allclose(out.data[0], expected, rtol=1e-14)
-        np.testing.assert_allclose(out.data[0], [0.73106, 0.26894], atol=5e-6)
+        out = ad.softmax_rows(np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(out[0], expected, rtol=1e-14)
+        np.testing.assert_allclose(out[0], [0.73106, 0.26894], atol=5e-6)
 
     def test_large_logits_do_not_overflow(self):
-        out = ad.softmax_rows(ad.constant([[1000.0, 0.0]]))
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-300)
+        out = ad.softmax_rows(np.array([[1000.0, 0.0]]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-300)
 
     @given(finite_matrices())
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one(self, m):
-        out = ad.softmax_rows(ad.constant(m))
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
+        out = ad.softmax_rows(m.copy())
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     @given(finite_matrices(), st.lists(st.floats(-30, 30), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_shift_invariance(self, m, shifts):
         c = np.array(shifts)[:, None]
-        base = ad.softmax_rows(ad.constant(m)).data
-        shifted = ad.softmax_rows(ad.constant(m + c)).data
+        base = ad.softmax_rows(m.copy())
+        shifted = ad.softmax_rows(m + c)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_nan_propagates(self):
-        out = ad.softmax_rows(ad.constant([[np.nan, 0.0]]))
-        assert np.isnan(out.data).any()
+        out = ad.softmax_rows(np.array([[np.nan, 0.0]]))
+        assert np.isnan(out).any()
+
+    def test_works_in_place(self):
+        a = np.array([[1.0, 2.0], [3.0, 3.0]])
+        out = ad.softmax_rows(a)
+        assert out is a
+        np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-15)
 
 
 class TestElementwiseOps:
@@ -146,7 +152,8 @@ class TestElementwiseOps:
 
 # ---------------------------------------------------------------------------
 # references: the composites that the fused primitives replaced, kept verbatim
-# with the exp, log and pow_const primitives they were built from
+# with the exp, log, pow_const, permute and taped softmax primitives they were
+# built from
 
 
 def ref_log(a):
@@ -179,6 +186,40 @@ def ref_layer_norm(a, gain, bias, eps: float = 1e-5):
     var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
     inv = ref_pow_const(var + eps, -0.5)
     return ad.add(ad.mul(ad.mul(centered, inv), ad.as_tensor(gain)), ad.as_tensor(bias))
+
+
+def ref_permute(a, axes):
+    a = ad.as_tensor(a)
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    return ad._make((a,), a.data.transpose(axes), lambda g: (g.transpose(inverse),))
+
+
+def ref_softmax_rows(a):
+    a = ad.as_tensor(a)
+    data = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * data).sum(axis=-1, keepdims=True)
+        return (data * (g - dot),)
+
+    return ad._make((a,), data, backward)
+
+
+def ref_attention(q, k, v, heads):
+    """The composite that model.attention_block recorded before ad.attention."""
+    b, t, d = q.shape
+    dh = d // heads
+
+    def split(z):
+        return ref_permute(ad.reshape(z, (b, t, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)  # (B, H, T, dh)
+    scores = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(dh))
+    weights = ref_softmax_rows(scores)  # (B, H, T, T)
+    context = ad.matmul(weights, v)  # (B, H, T, dh)
+    return ad.reshape(ref_permute(context, (0, 2, 1, 3)), (b, t, d))
 
 
 def ref_token(x, s):
@@ -241,6 +282,40 @@ class TestFusedPrimitives:
         # only dx has a new formula, which rounds differently
         assert dx.shape == ref_dx.shape
         assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
+
+    # (B, T, d, heads): the neighbor, global and fusion blocks at the acceptance
+    # config (batch 200, d=24, a 400-spot slide), then small and T = 1 cases
+    ATTENTION_SHAPES = [(200, 25, 24, 4), (1, 400, 24, 4), (200, 3, 24, 4), (5, 7, 8, 2),
+                        (3, 4, 6, 1), (4, 1, 6, 3), (2, 1, 5, 1)]
+
+    @pytest.mark.parametrize("b,t,d,heads", ATTENTION_SHAPES)
+    def test_attention_matches_composite_bytewise(self, b, t, d, heads):
+        rng = np.random.default_rng(b * t + d)
+        q, k, v = (rng.normal(size=(b, t, d)) * 2.0 for _ in range(3))
+        got = output_and_grads(lambda *qkv: ad.attention(*qkv, heads), q, k, v)
+        want = output_and_grads(lambda *qkv: ref_attention(*qkv, heads), q, k, v)
+        for g, w in zip(got, want):  # output, then the q, k and v gradients
+            assert_same_bytes(g, w)
+
+    @pytest.mark.parametrize("b,t,d,heads", [(2, 3, 4, 2), (1, 4, 6, 3), (3, 1, 2, 1)])
+    def test_attention_gradients_pass_grad_check(self, b, t, d, heads):
+        rng = np.random.default_rng(t)
+        qkv = [rng.normal(size=(b, t, d)) for _ in range(3)]
+        w = ad.constant(rng.normal(size=(b, t, d)))
+        for i in range(3):
+            def f(x, i=i):
+                args = [ad.constant(a) for a in qkv]
+                args[i] = x
+                return ad.tsum(ad.mul(ad.attention(*args, heads), w))
+
+            assert ad.grad_check(f, qkv[i]) <= 1e-6, i
+
+    def test_attention_rejects_bad_shapes(self):
+        x = ad.constant(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, 3)
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, ad.constant(np.zeros((2, 4, 4))), 2)
 
 
 class TestBackward:
@@ -329,7 +404,7 @@ class TestSweep:
         w = tape.leaf(rng.normal(size=(4, 3)))
         b = tape.leaf(rng.normal(size=(3,)))
         x = ad.constant(rng.normal(size=(5, 4)))
-        loss = ad.tsum(ad.softmax_rows(ad.gelu(ad.linear(x, w, b)) * 0.5))
+        loss = ad.tsum(ad.log_softmax_rows(ad.gelu(ad.linear(x, w, b)) * 0.5))
         return tape, w, loss
 
     def test_swept_tape_is_freed_with_the_cycle_collector_off(self):

@@ -2,7 +2,9 @@
 
 import configparser
 import csv
+import math
 import re
+import struct
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from spotalign import cli, data_io, model
 from spotalign.cli import main
 from spotalign.data_io import SynthSpec
+from spotalign.errors import DataError
 from spotalign.model import ModelConfig
 from spotalign.trainer import TrainConfig
 
@@ -231,22 +234,29 @@ class TestTrainPipeline:
 
         run = study_dir / "run"
         assert (run / "effective_config.ini").exists()
-        assert (run / "fold0_best.gdml").exists()
+        assert (run / "fold0_final.gdml").exists()
         assert (run / "fold1_final.gdml").exists()
+        assert not list(run.glob("*_best.gdml"))
         assert (run / "report.csv").exists()
         assert (run / "fold0_train.log").read_text().startswith("step=")
+        # the report scores the final parameters: each fold's PCC(A) is its last epoch's
+        with open(run / "report.csv", newline="") as f:
+            rows = {(fold, metric): value for fold, metric, value in csv.reader(f)}
+        for fold in ("0", "1"):
+            last = (run / f"fold{fold}_train.log").read_text().splitlines()[-1]
+            assert last.endswith(f" val_pcc_a={float(rows[fold, 'pcc_a']):.6f}"), last
 
         manifest = study_dir / "study" / "manifest.ini"
         out_eval = study_dir / "eval"
         assert main([
-            "eval", "--checkpoint", str(run / "fold0_best.gdml"),
+            "eval", "--checkpoint", str(run / "fold0_final.gdml"),
             "--manifest", str(manifest), "--out", str(out_eval),
         ]) == 0
         assert (out_eval / "report.csv").exists()
 
         out_pred = study_dir / "pred"
         assert main([
-            "predict", "--checkpoint", str(run / "fold0_best.gdml"),
+            "predict", "--checkpoint", str(run / "fold0_final.gdml"),
             "--manifest", str(manifest), "--out", str(out_pred),
         ]) == 0
         pred_file = out_pred / "predictions.gdml"
@@ -296,9 +306,16 @@ class TestTrainPipeline:
         assert main(["train", "--config", str(rerun)]) == 0
 
         checkpoints = sorted(p.name for p in run.glob("*.gdml"))
-        assert len(checkpoints) == 4
+        assert checkpoints == ["fold0_final.gdml", "fold1_final.gdml"]
         for name in checkpoints:
             assert (study_dir / "again" / name).read_bytes() == (run / name).read_bytes()
+
+    def test_zero_heads_exits_2(self, study_dir, capsys):
+        config = study_dir / "run.ini"
+        config.write_text(RUN_CONFIG.replace("heads = 2\n", "heads = 0\n"))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1, err
 
     def test_unknown_train_key_exits_2(self, study_dir, capsys):
         config = study_dir / "run.ini"
@@ -356,6 +373,30 @@ def assert_one_data_error(code, err):
     assert err.startswith("error: data: ") and err.count("\n") == 1, err
 
 
+def container_layout(blob):
+    """Byte offsets of every header field (file and entry headers) of a valid
+    container, and each entry's payload byte range."""
+    header, payloads, offset = list(range(10)), {}, 10
+    for _ in range(struct.unpack_from("<I", blob, 6)[0]):
+        (name_len,) = struct.unpack_from("<H", blob, offset)
+        name = blob[offset + 2 : offset + 2 + name_len].decode()
+        tag, rank = struct.unpack_from("<BB", blob, offset + 2 + name_len)
+        dims = struct.unpack_from(f"<{rank}I", blob, offset + 4 + name_len)
+        start = offset + 4 + name_len + 4 * rank
+        header.extend(range(offset, start))
+        offset = start + math.prod(dims) * {1: 4, 2: 8, 3: 4}[tag]
+        payloads[name] = range(start, offset)
+    assert offset == len(blob)
+    return header, payloads
+
+
+def raw_entry(name, tag, rank, dims):
+    """A one-entry container with no payload, written byte by byte."""
+    encoded = name.encode()
+    return (data_io.MAGIC + struct.pack("<HIH", data_io.VERSION, 1, len(encoded)) + encoded
+            + struct.pack(f"<BB{rank}I", tag, rank, *dims))
+
+
 def run_on_study(command, study_dir):
     """Exit code of ``command`` on the study under ``study_dir``."""
     manifest = study_dir / "study" / "manifest.ini"
@@ -399,6 +440,67 @@ class TestMalformedInputs:
         code = main([
             "eval", "--checkpoint", str(checkpoint),
             "--manifest", str(study_dir / "study" / "manifest.ini"), "--out", str(study_dir / "e"),
+        ])
+        assert_one_data_error(code, capsys.readouterr().err)
+
+    def test_corrupted_checkpoint_bytes_load_or_raise_data_error(self, tmp_path):
+        # every header byte and every config payload byte of a small
+        # checkpoint, set to 0x00, 0xff, 0x7f and to itself with bit 0 flipped;
+        # no attention blocks, so 31 entries, and block counts read 0.0, which
+        # corrupts to counts as large as 5e303
+        cfg = ModelConfig(n_genes=2, d_in=2, d=2, heads=1, neighbor_blocks=0, global_blocks=0,
+                          fusion_blocks=0, d_ff=2)
+        path = tmp_path / "ck.gdml"
+        model.save_checkpoint(path, model.init_params(cfg, 0), cfg)
+        blob = path.read_bytes()
+        header, payloads = container_layout(blob)
+        config = [i for name, span in payloads.items() if name.startswith("config:") for i in span]
+        bad = tmp_path / "bad.gdml"
+        outcomes, escapes = {"loaded": 0, "data_error": 0}, []
+        for i in header + config:
+            for value in {0x00, 0xFF, 0x7F, blob[i] ^ 1} - {blob[i]}:
+                bad.write_bytes(blob[:i] + bytes([value]) + blob[i + 1 :])
+                try:
+                    model.load_checkpoint(bad)
+                    outcomes["loaded"] += 1
+                except DataError:
+                    outcomes["data_error"] += 1
+                except Exception as exc:  # would leave the CLI as a traceback
+                    escapes.append(f"byte {i} = {value:#04x}: {type(exc).__name__}: {exc}")
+        assert not escapes, f"{len(escapes)} escapes, first: {escapes[:5]}"
+        assert outcomes["data_error"] > outcomes["loaded"] > 0
+
+    @pytest.mark.parametrize("fault", [
+        "dims_product_wraps", "rank_above_64", "inf_value", "nan_value", "fractional_size",
+        "empty_entry", "fusion_mode_index", "heads_zero", "heads_negative",
+        "heads_do_not_divide_d", "nan_parameter",
+    ])
+    def test_corrupt_checkpoint_exits_3(self, study_dir, capsys, fault):
+        cfg = ModelConfig(n_genes=10, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16)
+        checkpoint = study_dir / "ck.gdml"
+        model.save_checkpoint(checkpoint, model.init_params(cfg, 0), cfg)
+        if fault == "dims_product_wraps":  # 2**64 elements: 0 in int64 arithmetic
+            checkpoint.write_bytes(raw_entry("config:d", 2, 4, (2**16,) * 4))
+        elif fault == "rank_above_64":  # zero elements, so no payload is needed
+            checkpoint.write_bytes(raw_entry("config:d", 2, 65, (0,) + (1,) * 64))
+        else:
+            key, value = {
+                "inf_value": ("config:d", [np.inf]),
+                "nan_value": ("config:heads", [np.nan]),
+                "fractional_size": ("config:d", [8.5]),
+                "empty_entry": ("config:heads", []),
+                "fusion_mode_index": ("config:fusion_mode", [2.0]),
+                "heads_zero": ("config:heads", [0.0]),
+                "heads_negative": ("config:heads", [-1.0]),
+                "heads_do_not_divide_d": ("config:heads", [3.0]),
+                "nan_parameter": ("param:pred/b", [np.nan] * 10),
+            }[fault]
+            entries = data_io.read_container(checkpoint)
+            entries[key] = np.array(value, dtype=np.float64)
+            data_io.write_container(checkpoint, entries)
+        code = main([
+            "predict", "--checkpoint", str(checkpoint),
+            "--manifest", str(study_dir / "study" / "manifest.ini"), "--out", str(study_dir / "p"),
         ])
         assert_one_data_error(code, capsys.readouterr().err)
 

@@ -1,8 +1,8 @@
 """Encoder tests against independently scripted numpy oracles.
 
 The oracle below re-implements the pre-norm attention block with explicit
-per-head slicing loops, so it shares no code path with the model's
-reshape/permute implementation.
+per-head slicing loops, so it shares no code path with the model's fused
+``ad.attention`` node.
 """
 
 import math
@@ -113,6 +113,34 @@ class TestProjectScale:
             model.project_scale(params, np.ones((3, cfg.d_in + 1)), "local")
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("sizes", [dict(heads=0), dict(heads=-1), dict(d=0), dict(d=-4)])
+    def test_sizes_below_one_rejected(self, sizes):
+        with pytest.raises(ContractError, match=">= 1"):
+            tiny_config(**sizes)
+
+
+class TestAttentionBlock:
+    def test_one_tape_node_between_projections(self, monkeypatch):
+        cfg = tiny_config()
+        tape = ad.Tape()
+        pt = model.as_tensors(model.init_params(cfg, 1), tape)
+        x = tape.leaf(np.random.default_rng(1).normal(size=(2, 3, cfg.d)))
+        linear_ids = []
+        ad_linear = ad.linear
+
+        def linear(*args):
+            out = ad_linear(*args)
+            linear_ids.append(out.node_id)
+            return out
+
+        monkeypatch.setattr(ad, "linear", linear)
+        model.attention_block(x, pt, "neighbor/block0", cfg.heads, 0.0, None, False)
+        q, k, v, out = linear_ids[:4]  # the q, k, v and output projections
+        assert (k, v, out) == (q + 1, q + 2, q + 4)
+        assert tape._parents[q + 3] == (q, k, v)
+
+
 class TestNeighborEncode:
     def test_equal_tokens_collapse_to_single_token_transform(self):
         # with identical tokens, attention weights are uniform over equal
@@ -180,13 +208,6 @@ class TestGlobalEncode:
         permuted = model.global_encode(params, ad.constant(x[perm]), cfg).data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 
-    def test_mixed_samples_rejected(self):
-        cfg = tiny_config()
-        params = model.as_tensors(model.init_params(cfg, 0))
-        with pytest.raises(ContractError, match="single slide"):
-            model.global_encode(
-                params, ad.constant(np.zeros((2, cfg.d))), cfg, sample_ids=["a", "b"]
-            )
 
 
 class TestScaleFusion:

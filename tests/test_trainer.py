@@ -270,7 +270,7 @@ class TestInfer:
         train = [b for b in batches if b.sample_id not in test_ids]
         test = [b for b in batches if b.sample_id in test_ids]
         baseline = np.concatenate([b.expression for b in train]).mean(axis=0)
-        pred = trainer.infer(result.params_best, mcfg, test[0])
+        pred = trainer.infer(result.params_final, mcfg, test[0])
         mse_model = float(((pred - test[0].expression) ** 2).mean())
         mse_base = float(((baseline - test[0].expression) ** 2).mean())
         assert mse_model < mse_base
