@@ -11,7 +11,8 @@ the same seed reproduce gradients bitwise.
 A :class:`Tape` is single-owner while recording and during backward; distinct
 tapes may be used from distinct threads.  Operations whose inputs are all
 constants (no tape) stay off any tape and just return a constant result, and
-no op computes a gradient for a constant operand.
+no op computes a gradient for a constant operand.  Untaped attention scores
+one head at a time, so inference holds one head's T×T scores, not all heads'.
 
 The sweep contract: a tape is swept by :meth:`Tape.backward` once.  The sweep
 releases each node's closure, and with it the forward buffers the closure
@@ -436,7 +437,8 @@ def attention(q, k, v, heads: int) -> DiffTensor:
     Splits d into ``heads`` heads of width dh, takes the row softmax P of
     S = q kᵀ / sqrt(dh) per head and merges the heads of P v back to
     (B, T, d).  The backward uses the closed-form softmax Jacobian of
-    Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).
+    Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).  Untaped, it
+    forms one head's B·T² scores at a time: O(B·T·d + B·T²) memory, same bits.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
@@ -453,6 +455,15 @@ def attention(q, k, v, heads: int) -> DiffTensor:
         return np.ascontiguousarray(z.transpose(0, 2, 1, 3)).reshape(b, t, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    if q.tape is None and k.tape is None and v.tape is None:
+        # matmul runs one 2-D product per (b, h) slice either way, so the bits match
+        context = np.empty((b, heads, t, dh))
+        for i in range(heads):
+            p = qh[:, i : i + 1] @ np.swapaxes(kh[:, i : i + 1], -1, -2)
+            p *= scale
+            np.matmul(softmax_rows(p), vh[:, i : i + 1], out=context[:, i : i + 1])
+            del p  # free this head's scores before the next head allocates
+        return DiffTensor(merge(context))
     probs = qh @ np.swapaxes(kh, -1, -2)
     probs *= scale
     softmax_rows(probs)

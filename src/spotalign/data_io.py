@@ -42,14 +42,14 @@ _TAG_TO_DTYPE = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i4")}
 
 def _dtype_tag(arr: np.ndarray) -> tuple[int, np.ndarray]:
     if arr.dtype in (np.float32,):
-        return 1, arr.astype("<f4")
+        return 1, arr.astype("<f4", copy=False)
     if arr.dtype in (np.float64,):
-        return 2, arr.astype("<f8")
+        return 2, arr.astype("<f8", copy=False)
     if np.issubdtype(arr.dtype, np.integer):
-        as32 = arr.astype(np.int64)
+        as32 = arr.astype(np.int64, copy=False)
         if as32.size and (as32.max() > np.iinfo(np.int32).max or as32.min() < np.iinfo(np.int32).min):
             raise ContractError("integer entry exceeds the i32 range of the container format")
-        return 3, arr.astype("<i4")
+        return 3, arr.astype("<i4", copy=False)
     raise ContractError(f"unsupported dtype for container entry: {arr.dtype}")
 
 
@@ -72,7 +72,7 @@ def write_container(path, entries: dict[str, np.ndarray]) -> None:
             f.write(struct.pack("<BB", tag, arr.ndim))
             for dim in arr.shape:
                 f.write(struct.pack("<I", dim))
-            f.write(np.ascontiguousarray(data).tobytes())
+            f.write(memoryview(data))
 
 
 def read_container(path) -> dict[str, np.ndarray]:
@@ -117,7 +117,7 @@ def read_container(path) -> dict[str, np.ndarray]:
         offset += 4 * rank
         dtype = _TAG_TO_DTYPE[tag]
         nbytes = math.prod(dims) * dtype.itemsize  # exact: corrupt dims cannot wrap
-        payload = blob[offset : offset + nbytes]
+        payload = memoryview(blob)[offset : offset + nbytes]
         if len(payload) != nbytes:
             raise DataError(f"{path}: truncated payload for entry {name!r}")
         offset += nbytes

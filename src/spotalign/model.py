@@ -10,7 +10,11 @@ attention output projections, inside feed-forward sublayers, and in the
 gene encoder.
 
 All blocks are pre-norm residual transformers.  The global block uses no
-positional encoding, so it is permutation-equivariant over spots.
+positional encoding, so it is permutation-equivariant over spots.  It sees a
+minibatch in training but the whole slide at inference, as in TRIPLEX; on the
+acceptance ablation whole-slide context scores PCC(A) at or above 200-spot
+blocks.  Untaped passes encode neighbor tokens in 256-spot blocks and score
+one head at a time: O(N·d + N²) memory for one head, with the same bits.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import ContractError, DataError, ShapeError
 SCALES = ("local", "neighbor", "global")
 
 _FUSION_MODES = ("mean", "concat")
+_SPOT_BLOCK = 256  # spots per neighbor-encoder pass when nothing is taped
 
 
 @dataclass
@@ -45,8 +50,13 @@ class ModelConfig:
     fusion_mode: str = "mean"
 
     def __post_init__(self):
-        if self.heads < 1 or self.d < 1:
-            raise ContractError(f"d={self.d} and heads={self.heads} must be >= 1")
+        for name, least in (("d_in", 1), ("d", 1), ("heads", 1), ("neighbor_tokens", 1),
+                            ("neighbor_blocks", 0), ("global_blocks", 0), ("fusion_blocks", 0),
+                            ("d_ff", 0)):
+            if getattr(self, name) < least:
+                raise ContractError(f"{name}={getattr(self, name)} must be >= {least}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d % self.heads != 0:
             raise ContractError(f"d={self.d} must be divisible by heads={self.heads}")
         if self.fusion_mode not in _FUSION_MODES:
@@ -207,6 +217,15 @@ def neighbor_encode(
             f"neighbor features must be N x {cfg.neighbor_tokens} x D_in, "
             f"got {neighbor_feat.shape}"
         )
+    n = neighbor_feat.shape[0]
+    if training or n <= _SPOT_BLOCK or any(t.tape is not None for t in (neighbor_feat, *p.values())):
+        return _pool_neighbors(p, neighbor_feat, cfg, rng, training)
+    # every op here acts per spot, so blocks bound the memory and keep the bits
+    return ad.concat([_pool_neighbors(p, neighbor_feat.data[s : s + _SPOT_BLOCK], cfg, None, False)
+                      for s in range(0, n, _SPOT_BLOCK)], axis=0)
+
+
+def _pool_neighbors(p, neighbor_feat, cfg, rng, training):
     x = project_scale(p, neighbor_feat, "neighbor")  # (N, T, d)
     for i in range(cfg.neighbor_blocks):
         x = attention_block(x, p, f"neighbor/block{i}", cfg.heads, cfg.dropout, rng, training)
@@ -363,7 +382,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     }
     # a corrupt block count must not make param_shapes loop for ever
     blocks = cfg.neighbor_blocks + cfg.global_blocks + cfg.fusion_blocks
-    if not 0 <= blocks <= len(params) or set(params) != set(expected := param_shapes(cfg)):
+    if blocks > len(params) or set(params) != set(expected := param_shapes(cfg)):
         raise DataError(f"checkpoint {path} parameter names do not match its config")
     for name, shape in expected.items():
         if params[name].shape != shape or not np.isfinite(params[name]).all():

@@ -297,6 +297,17 @@ class TestFusedPrimitives:
         for g, w in zip(got, want):  # output, then the q, k and v gradients
             assert_same_bytes(g, w)
 
+    # the untaped path scores one head at a time; query-row blocks would not
+    # keep these bits (BLAS picks its kernel by shape), whole heads do
+    @pytest.mark.parametrize("b,t,d,heads", ATTENTION_SHAPES + [(1, 401, 24, 4), (1, 1000, 32, 8)])
+    def test_untaped_attention_matches_taped_bytewise(self, b, t, d, heads):
+        rng = np.random.default_rng(b * t + d)
+        q, k, v = (rng.normal(size=(b, t, d)) * 2.0 for _ in range(3))
+        taped = output_and_grads(lambda *qkv: ad.attention(*qkv, heads), q, k, v)[0]
+        untaped = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), heads)
+        assert untaped.tape is None
+        assert_same_bytes(untaped.data, taped)
+
     @pytest.mark.parametrize("b,t,d,heads", [(2, 3, 4, 2), (1, 4, 6, 3), (3, 1, 2, 1)])
     def test_attention_gradients_pass_grad_check(self, b, t, d, heads):
         rng = np.random.default_rng(t)

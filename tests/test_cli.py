@@ -317,6 +317,20 @@ class TestTrainPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("key,value", [
+        ("neighbor_blocks", "-1"), ("global_blocks", "-1"), ("fusion_blocks", "-2"),
+        ("dropout", "1.5"), ("neighbor_tokens", "0"), ("d_ff", "-3"), ("d_in", "-5"),
+    ])
+    def test_impossible_model_size_exits_2(self, study_dir, capsys, key, value):
+        config = study_dir / "run.ini"
+        text = re.sub(rf"^{key} = .*\n", "", RUN_CONFIG, flags=re.M)
+        config.write_text(text.replace("[model]\n", f"[model]\n{key} = {value}\n"))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1, err
+        assert key in err, err
+        assert not (study_dir / "run").exists()
+
     def test_unknown_train_key_exits_2(self, study_dir, capsys):
         config = study_dir / "run.ini"
         config.write_text(RUN_CONFIG + "\n[train]\nwarp_speed = 9\n")
@@ -473,7 +487,9 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("fault", [
         "dims_product_wraps", "rank_above_64", "inf_value", "nan_value", "fractional_size",
         "empty_entry", "fusion_mode_index", "heads_zero", "heads_negative",
-        "heads_do_not_divide_d", "nan_parameter",
+        "heads_do_not_divide_d", "nan_parameter", "neighbor_blocks_negative",
+        "global_blocks_negative", "fusion_blocks_negative", "dropout_above_one",
+        "neighbor_tokens_zero", "d_ff_negative", "d_in_zero",
     ])
     def test_corrupt_checkpoint_exits_3(self, study_dir, capsys, fault):
         cfg = ModelConfig(n_genes=10, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16)
@@ -494,6 +510,13 @@ class TestMalformedInputs:
                 "heads_negative": ("config:heads", [-1.0]),
                 "heads_do_not_divide_d": ("config:heads", [3.0]),
                 "nan_parameter": ("param:pred/b", [np.nan] * 10),
+                "neighbor_blocks_negative": ("config:neighbor_blocks", [-1.0]),
+                "global_blocks_negative": ("config:global_blocks", [-1.0]),
+                "fusion_blocks_negative": ("config:fusion_blocks", [-1.0]),
+                "dropout_above_one": ("config:dropout", [1.5]),
+                "neighbor_tokens_zero": ("config:neighbor_tokens", [0.0]),
+                "d_ff_negative": ("config:d_ff", [-16.0]),
+                "d_in_zero": ("config:d_in", [0.0]),
             }[fault]
             entries = data_io.read_container(checkpoint)
             entries[key] = np.array(value, dtype=np.float64)

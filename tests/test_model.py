@@ -114,10 +114,28 @@ class TestProjectScale:
 
 
 class TestModelConfig:
-    @pytest.mark.parametrize("sizes", [dict(heads=0), dict(heads=-1), dict(d=0), dict(d=-4)])
+    @pytest.mark.parametrize("sizes", [dict(heads=0), dict(heads=-1), dict(d=0), dict(d=-4),
+                                       dict(neighbor_tokens=0), dict(neighbor_tokens=-1),
+                                       dict(d_in=0)])
     def test_sizes_below_one_rejected(self, sizes):
         with pytest.raises(ContractError, match=">= 1"):
             tiny_config(**sizes)
+
+    @pytest.mark.parametrize("sizes", [dict(neighbor_blocks=-1), dict(global_blocks=-1),
+                                       dict(fusion_blocks=-2), dict(d_ff=-3)])
+    def test_negative_counts_rejected(self, sizes):
+        with pytest.raises(ContractError, match=">= 0"):
+            tiny_config(**sizes)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, math.nan])
+    def test_dropout_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ContractError, match="dropout"):
+            tiny_config(dropout=rate)
+
+    def test_zero_blocks_and_rate_accepted(self):
+        cfg = tiny_config(neighbor_blocks=0, global_blocks=0, fusion_blocks=0, dropout=0.0,
+                          neighbor_tokens=1, d_ff=0)
+        assert cfg.d_ff == 4 * cfg.d
 
 
 class TestAttentionBlock:
@@ -361,6 +379,31 @@ class TestModelInvariants:
         assert cfg2 == cfg
         after = model.forward_image(model.as_tensors(loaded), batch, cfg2).data
         assert before.tobytes() == after.tobytes()
+
+    def test_spot_blocks_keep_inference_bits(self, monkeypatch):
+        cfg = tiny_config(d_in=16, d=24, heads=4, d_ff=48, neighbor_tokens=25)
+        params = model.as_tensors(model.init_params(cfg, 37))
+        n = 401  # no block size below divides it; n + 1 is one unblocked pass
+        batch = make_batch(cfg, n, seed=37)
+        outputs = []
+        for block in (1, 7, 256, n + 1):
+            monkeypatch.setattr(model, "_SPOT_BLOCK", block)
+            outputs.append(model.forward_image(params, batch, cfg).data.tobytes())
+        assert outputs[:3] == [outputs[3]] * 3
+
+    def test_training_pass_is_not_blocked(self, monkeypatch):
+        # blocks would reorder the dropout draws even on constant parameters
+        cfg = tiny_config(dropout=0.2)
+        params = model.as_tensors(model.init_params(cfg, 41))
+        batch = make_batch(cfg, 9, seed=41)
+
+        def run():
+            rng = np.random.default_rng(5)
+            return model.neighbor_encode(params, batch.neighbor_feat, cfg, rng, training=True).data
+
+        whole = run()
+        monkeypatch.setattr(model, "_SPOT_BLOCK", 2)
+        assert run().tobytes() == whole.tobytes()
 
     def test_training_dropout_consumes_rng_deterministically(self):
         cfg = tiny_config(dropout=0.2)

@@ -1,5 +1,6 @@
 """Optimizer, schedule, fold-plan, and training-loop tests."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,25 @@ class TestTrainFold:
 
 
 class TestInfer:
+    def test_whole_slide_peak_below_half_a_score_tensor(self):
+        n, heads = 1500, 4
+        mcfg = model.ModelConfig(n_genes=8, d_in=16, d=24, heads=heads, neighbor_blocks=1, d_ff=48)
+        rng = np.random.default_rng(0)
+        batch = data_io.SpotBatch(
+            sample_id="S00", patient_id="P00", local_feat=rng.normal(size=(n, 16)),
+            neighbor_feat=rng.normal(size=(n, 25, 16)), expression=rng.random((n, 8)),
+            coords=np.stack([np.arange(n), np.zeros(n, int)], axis=1).astype(np.int32),
+        )
+        params = model.init_params(mcfg, 0)
+        tracemalloc.start()
+        try:
+            trainer.infer(params, mcfg, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full_scores = heads * n * n * 8  # one (1, H, N, N) float64 tensor: 72 MB
+        assert peak < full_scores / 2, f"peak {peak / 1e6:.1f} MB"
+
     def test_deterministic_and_finite(self):
         batches, mcfg = desk_setup()
         params = model.init_params(mcfg, 0)
