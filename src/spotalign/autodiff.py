@@ -34,6 +34,7 @@ from .errors import ContractError, ShapeError
 # tanh-form GELU constant: sqrt(2/pi)
 GELU_COEF = 0.7978845608028654
 GELU_CUBIC = 0.044715
+_SOFTMAX_BLOCK = 1 << 17  # scores (1 MiB) scaled and soft-maxed per pass at inference
 
 
 class Tape:
@@ -356,17 +357,36 @@ def tmean(a, axis=None, keepdims: bool = False) -> DiffTensor:
 
 
 def gelu(a) -> DiffTensor:
-    """GELU in the tanh approximation."""
+    """GELU in the tanh approximation.  Forward and backward chain the plain
+    expression's IEEE operations, in order, in place on arrays they own
+    (``out=`` keeps 0-d results arrays), so the bits match it."""
     a = as_tensor(a)
     x = a.data
-    inner = GELU_COEF * (x + GELU_CUBIC * x * x * x)  # x ** 3 calls pow: ~25x slower
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = np.multiply(GELU_CUBIC, x, out=np.empty_like(x))  # x ** 3 calls pow: ~25x slower
+    t *= x
+    t *= x
+    t += x
+    t *= GELU_COEF
+    np.tanh(t, out=t)  # tanh(GELU_COEF * (x + GELU_CUBIC * x * x * x))
+    data = np.multiply(0.5, x, out=np.empty_like(x))
+    data *= 1.0 + t
 
     def backward(g: np.ndarray):
-        dinner = GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * x ** 2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-        return (g * local,)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t²) * GELU_COEF * (1 + 3 * GELU_CUBIC * x²)
+        dinner = np.multiply(x, x, out=np.empty_like(x))
+        dinner *= 3.0 * GELU_CUBIC
+        dinner += 1.0
+        dinner *= GELU_COEF
+        local = np.multiply(t, t, out=np.empty_like(t))
+        np.subtract(1.0, local, out=local)
+        tail = np.multiply(0.5, x, out=np.empty_like(x))
+        tail *= local
+        tail *= dinner
+        np.add(t, 1.0, out=local)
+        local *= 0.5
+        local += tail
+        local *= g
+        return (local,)
 
     return _make((a,), data, backward)
 
@@ -411,10 +431,12 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> DiffTensor:
     """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     scale = 1.0 / a.data.shape[-1]
-    centered = a.data - a.data.sum(axis=-1, keepdims=True) * scale
-    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
-    norm = centered * inv
-    data = norm * gain.data + bias.data
+    norm = a.data - a.data.sum(axis=-1, keepdims=True) * scale  # centered, scaled below
+    data = norm * norm  # also the buffer of the output
+    inv = (data.sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    norm *= inv
+    np.multiply(norm, gain.data, out=data)
+    data += bias.data
 
     def backward(g: np.ndarray):
         dx = None
@@ -438,7 +460,8 @@ def attention(q, k, v, heads: int) -> DiffTensor:
     S = q kᵀ / sqrt(dh) per head and merges the heads of P v back to
     (B, T, d).  The backward uses the closed-form softmax Jacobian of
     Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).  Untaped, it
-    forms one head's B·T² scores at a time: O(B·T·d + B·T²) memory, same bits.
+    forms one head's B·T² scores at a time in one reused buffer and soft-maxes
+    them in cache-sized row blocks: O(B·T·d + B·T²) memory, same bits.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
@@ -458,11 +481,17 @@ def attention(q, k, v, heads: int) -> DiffTensor:
     if q.tape is None and k.tape is None and v.tape is None:
         # matmul runs one 2-D product per (b, h) slice either way, so the bits match
         context = np.empty((b, heads, t, dh))
+        p = np.empty((b, 1, t, t))  # one head's scores, refilled for each head
+        rows, step = p.reshape(-1, t), max(1, _SOFTMAX_BLOCK // t)
         for i in range(heads):
-            p = qh[:, i : i + 1] @ np.swapaxes(kh[:, i : i + 1], -1, -2)
-            p *= scale
-            np.matmul(softmax_rows(p), vh[:, i : i + 1], out=context[:, i : i + 1])
-            del p  # free this head's scores before the next head allocates
+            np.matmul(qh[:, i : i + 1], np.swapaxes(kh[:, i : i + 1], -1, -2), out=p)
+            # the products stay whole (row blocks of q would change BLAS bits);
+            # scaling and softmax act per row, so cache-sized row blocks keep them
+            for r in range(0, len(rows), step):
+                block = rows[r : r + step]
+                block *= scale
+                softmax_rows(block)
+            np.matmul(p, vh[:, i : i + 1], out=context[:, i : i + 1])
         return DiffTensor(merge(context))
     probs = qh @ np.swapaxes(kh, -1, -2)
     probs *= scale

@@ -21,7 +21,10 @@ All paths are relative to the manifest's directory.
 from __future__ import annotations
 
 import configparser
+import io
 import math
+import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass
@@ -41,10 +44,11 @@ _TAG_TO_DTYPE = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i4")}
 
 
 def _dtype_tag(arr: np.ndarray) -> tuple[int, np.ndarray]:
-    if arr.dtype in (np.float32,):
-        return 1, arr.astype("<f4", copy=False)
-    if arr.dtype in (np.float64,):
-        return 2, arr.astype("<f8", copy=False)
+    """The entry's tag and its little-endian data: float32 and float64 of
+    either byte order, and integers within the i32 range."""
+    if arr.dtype.kind == "f" and arr.dtype.itemsize in (4, 8):
+        tag = 1 if arr.dtype.itemsize == 4 else 2
+        return tag, arr.astype(_TAG_TO_DTYPE[tag], copy=False)
     if np.issubdtype(arr.dtype, np.integer):
         as32 = arr.astype(np.int64, copy=False)
         if as32.size and (as32.max() > np.iinfo(np.int32).max or as32.min() < np.iinfo(np.int32).min):
@@ -76,57 +80,74 @@ def write_container(path, entries: dict[str, np.ndarray]) -> None:
 
 
 def read_container(path) -> dict[str, np.ndarray]:
-    """Read a container back; raises DataError on any structural problem."""
+    """Read a container back; raises DataError on any structural problem.
+
+    Each payload is read once, straight into the writable, native-order,
+    C-contiguous array returned for it, after its size is checked against
+    the bytes left in the file, so corrupt dims cannot force a huge allocation.
+    """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as f:
+            st = os.fstat(f.fileno())
+            if stat.S_ISREG(st.st_mode):
+                return _read_entries(path, f, st.st_size)
+            data = f.read()  # a pipe has no size to check payloads against
+            return _read_entries(path, io.BytesIO(data), len(data))
     except OSError as exc:
         raise DataError(f"cannot read container {path}: {exc}") from exc
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}")
 
-    def unpack(fmt: str, offset: int) -> tuple:
-        try:
-            return struct.unpack_from(fmt, blob, offset)
-        except struct.error as exc:
-            raise DataError(f"{path}: truncated header at byte {offset}") from exc
 
+def _read_entries(path: Path, f, size: int) -> dict[str, np.ndarray]:
+    magic = f.read(4)
+    if magic != MAGIC:
+        raise DataError(f"{path}: bad magic {magic!r}")
     offset = 4
-    (version,) = unpack("<H", offset)
-    offset += 2
+
+    def unpack(fmt: str) -> tuple:
+        nonlocal offset
+        want = struct.calcsize(fmt)
+        raw = f.read(want)
+        if len(raw) != want:
+            raise DataError(f"{path}: truncated header at byte {offset}")
+        offset += want
+        return struct.unpack(fmt, raw)
+
+    (version,) = unpack("<H")
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
-    (count,) = unpack("<I", offset)
-    offset += 4
+    (count,) = unpack("<I")
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = unpack("<H", offset)
-        offset += 2
+        (name_len,) = unpack("<H")
         try:
-            name = blob[offset : offset + name_len].decode("utf-8")
+            name = f.read(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: entry name at byte {offset} is not UTF-8") from exc
         offset += name_len
-        tag, rank = unpack("<BB", offset)
-        offset += 2
+        tag, rank = unpack("<BB")
         if tag not in _TAG_TO_DTYPE:
             raise DataError(f"{path}: unknown dtype tag {tag} for entry {name!r}")
         if rank > 64:  # numpy's limit on array dimensions
             raise DataError(f"{path}: entry {name!r} has rank {rank}, above numpy's 64")
-        dims = unpack(f"<{rank}I", offset) if rank else ()
-        offset += 4 * rank
+        dims = unpack(f"<{rank}I") if rank else ()
         dtype = _TAG_TO_DTYPE[tag]
         nbytes = math.prod(dims) * dtype.itemsize  # exact: corrupt dims cannot wrap
-        payload = memoryview(blob)[offset : offset + nbytes]
-        if len(payload) != nbytes:
+        if nbytes > size - offset:
             raise DataError(f"{path}: truncated payload for entry {name!r}")
-        offset += nbytes
         if name in entries:
             raise DataError(f"{path}: duplicate entry name {name!r}")
-        arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
-        entries[name] = arr.astype(dtype.newbyteorder("="))
-    if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} trailing bytes after last entry")
+        try:
+            arr = np.empty(dims, dtype=dtype)
+        except ValueError as exc:  # zero elements, but the other dims overflow numpy's size
+            raise DataError(f"{path}: entry {name!r} has dims {dims} numpy cannot hold") from exc
+        # a flat byte view: memoryview(arr).cast("B") raises on zero-size arrays
+        if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+            raise DataError(f"{path}: truncated payload for entry {name!r}")
+        offset += nbytes
+        entries[name] = arr.astype(dtype.newbyteorder("="), copy=False)
+    if offset != size:
+        raise DataError(f"{path}: {size - offset} trailing bytes after last entry")
     return entries
 
 
@@ -351,7 +372,7 @@ def _spot_batch(sid, patient, local, neighbor, counts, coords, column_names, gen
     pre = preprocess_expression(counts, column_names, gene_list)
     if pre.n_dropped:
         warnings.warn(f"sample {sid}: dropped {pre.n_dropped} zero-total spots")
-    keep = pre.keep_mask
+    keep = pre.keep_mask if pre.n_dropped else slice(None)  # a view, not a copy, of every spot
     return SpotBatch(
         sample_id=sid,
         patient_id=patient,

@@ -188,6 +188,20 @@ def ref_layer_norm(a, gain, bias, eps: float = 1e-5):
     return ad.add(ad.mul(ad.mul(centered, inv), ad.as_tensor(gain)), ad.as_tensor(bias))
 
 
+def ref_gelu(a):
+    """GELU as whole-array expressions, as ad.gelu computed it before it
+    worked in place."""
+    a = ad.as_tensor(a)
+    x = a.data
+    t = np.tanh(ad.GELU_COEF * (x + ad.GELU_CUBIC * x * x * x))
+
+    def backward(g):
+        dinner = ad.GELU_COEF * (1.0 + 3.0 * ad.GELU_CUBIC * x ** 2)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner),)
+
+    return ad._make((a,), 0.5 * x * (1.0 + t), backward)
+
+
 def ref_permute(a, axes):
     a = ad.as_tensor(a)
     inverse = tuple(int(i) for i in np.argsort(axes))
@@ -259,6 +273,20 @@ class TestFusedPrimitives:
         for g, w in zip(got, want):
             assert_same_bytes(g, w)
 
+    @pytest.mark.parametrize("shape,view", [
+        ((7, 96), lambda t: t),
+        ((5, 25, 48), lambda t: t),  # the neighbor encoder's FFN at d_ff=48
+        ((33, 20), ad.transpose),
+    ])
+    def test_gelu_matches_composite_bytewise(self, shape, view):
+        x = np.random.default_rng(len(shape)).normal(size=shape) * 3.0
+        got = output_and_grads(lambda t: ad.gelu(view(t)), x)
+        want = output_and_grads(lambda t: ref_gelu(view(t)), x)
+        for g, w in zip(got, want):  # the output, then the input gradient
+            assert_same_bytes(g, w)
+        untaped = ad.gelu(view(ad.constant(x)))
+        assert_same_bytes(untaped.data, want[0])
+
     @pytest.mark.parametrize("token", range(3))
     def test_take_matches_mask_sum_bytewise(self, token):
         x = np.random.default_rng(token).normal(size=(4, 3, 5))
@@ -306,6 +334,16 @@ class TestFusedPrimitives:
         taped = output_and_grads(lambda *qkv: ad.attention(*qkv, heads), q, k, v)[0]
         untaped = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), heads)
         assert untaped.tape is None
+        assert_same_bytes(untaped.data, taped)
+
+    @pytest.mark.parametrize("block", [1, 3 * 401, 100 * 401 + 5, 10**9])
+    def test_untaped_softmax_row_blocks_keep_bits(self, monkeypatch, block):
+        # 1, 3 and 100 of the 802 score rows per block (a short last block), or all
+        rng = np.random.default_rng(block)
+        q, k, v = (rng.normal(size=(2, 401, 24)) * 2.0 for _ in range(3))
+        taped = output_and_grads(lambda *qkv: ad.attention(*qkv, 4), q, k, v)[0]
+        monkeypatch.setattr(ad, "_SOFTMAX_BLOCK", block)
+        untaped = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 4)
         assert_same_bytes(untaped.data, taped)
 
     @pytest.mark.parametrize("b,t,d,heads", [(2, 3, 4, 2), (1, 4, 6, 3), (3, 1, 2, 1)])

@@ -461,7 +461,8 @@ class TestMalformedInputs:
         # every header byte and every config payload byte of a small
         # checkpoint, set to 0x00, 0xff, 0x7f and to itself with bit 0 flipped;
         # no attention blocks, so 31 entries, and block counts read 0.0, which
-        # corrupts to counts as large as 5e303
+        # corrupts to counts as large as 5e303.  Then every payload byte of two
+        # small parameter entries with bit 0 flipped.
         cfg = ModelConfig(n_genes=2, d_in=2, d=2, heads=1, neighbor_blocks=0, global_blocks=0,
                           fusion_blocks=0, d_ff=2)
         path = tmp_path / "ck.gdml"
@@ -469,25 +470,33 @@ class TestMalformedInputs:
         blob = path.read_bytes()
         header, payloads = container_layout(blob)
         config = [i for name, span in payloads.items() if name.startswith("config:") for i in span]
+        params = [i for name in ("param:proj_local/w", "param:gene/enc/b1") for i in payloads[name]]
         bad = tmp_path / "bad.gdml"
         outcomes, escapes = {"loaded": 0, "data_error": 0}, []
+
+        def load(i, value):
+            bad.write_bytes(blob[:i] + bytes([value]) + blob[i + 1 :])
+            try:
+                model.load_checkpoint(bad)
+                outcomes["loaded"] += 1
+            except DataError:
+                outcomes["data_error"] += 1
+            except Exception as exc:  # would leave the CLI as a traceback
+                escapes.append(f"byte {i} = {value:#04x}: {type(exc).__name__}: {exc}")
+
         for i in header + config:
             for value in {0x00, 0xFF, 0x7F, blob[i] ^ 1} - {blob[i]}:
-                bad.write_bytes(blob[:i] + bytes([value]) + blob[i + 1 :])
-                try:
-                    model.load_checkpoint(bad)
-                    outcomes["loaded"] += 1
-                except DataError:
-                    outcomes["data_error"] += 1
-                except Exception as exc:  # would leave the CLI as a traceback
-                    escapes.append(f"byte {i} = {value:#04x}: {type(exc).__name__}: {exc}")
-        assert not escapes, f"{len(escapes)} escapes, first: {escapes[:5]}"
+                load(i, value)
         assert outcomes["data_error"] > outcomes["loaded"] > 0
+        for i in params:
+            load(i, blob[i] ^ 1)
+        assert not escapes, f"{len(escapes)} escapes, first: {escapes[:5]}"
+        assert len(params) == 48
 
     @pytest.mark.parametrize("fault", [
-        "dims_product_wraps", "rank_above_64", "inf_value", "nan_value", "fractional_size",
-        "empty_entry", "fusion_mode_index", "heads_zero", "heads_negative",
-        "heads_do_not_divide_d", "nan_parameter", "neighbor_blocks_negative",
+        "dims_product_wraps", "zero_size_dims_overflow", "rank_above_64", "inf_value",
+        "nan_value", "fractional_size", "empty_entry", "fusion_mode_index", "heads_zero",
+        "heads_negative", "heads_do_not_divide_d", "nan_parameter", "neighbor_blocks_negative",
         "global_blocks_negative", "fusion_blocks_negative", "dropout_above_one",
         "neighbor_tokens_zero", "d_ff_negative", "d_in_zero",
     ])
@@ -497,6 +506,8 @@ class TestMalformedInputs:
         model.save_checkpoint(checkpoint, model.init_params(cfg, 0), cfg)
         if fault == "dims_product_wraps":  # 2**64 elements: 0 in int64 arithmetic
             checkpoint.write_bytes(raw_entry("config:d", 2, 4, (2**16,) * 4))
+        elif fault == "zero_size_dims_overflow":  # 0 elements, but numpy cannot shape them
+            checkpoint.write_bytes(raw_entry("config:d", 2, 3, (0, 2**32 - 1, 2**32 - 1)))
         elif fault == "rank_above_64":  # zero elements, so no payload is needed
             checkpoint.write_bytes(raw_entry("config:d", 2, 65, (0,) + (1,) * 64))
         else:

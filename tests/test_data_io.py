@@ -2,7 +2,10 @@
 generator."""
 
 import math
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,14 +24,22 @@ class TestTensorContainer:
             "f64_r2": rng.normal(size=(3, 4)),
             "i32_r3": rng.integers(-100, 100, size=(2, 3, 4)).astype(np.int32),
             "f64_r3": rng.normal(size=(2, 2, 2)),
+            "f64_big_endian": rng.normal(size=(3, 2)).astype(">f8"),
+            "f32_big_endian": rng.normal(size=4).astype(">f4"),
+            "i32_big_endian": rng.integers(-100, 100, size=(2, 2)).astype(">i4"),
+            "f64_zero_rows": np.zeros((0, 3)),
+            "f64_zero_cols": np.zeros((2, 0)),
         }
         path = tmp_path / "t.gdml"
         data_io.write_container(path, entries)
         back = data_io.read_container(path)
         assert list(back) == list(entries)
-        for name in entries:
-            assert back[name].dtype == entries[name].dtype
-            assert back[name].tobytes() == entries[name].tobytes()
+        for name, arr in entries.items():
+            want = arr.astype(arr.dtype.newbyteorder("="))  # entries come back native-order
+            assert back[name].dtype == want.dtype
+            assert back[name].shape == want.shape
+            assert back[name].tobytes() == want.tobytes()
+            assert back[name].flags.writeable and back[name].flags.c_contiguous
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -40,6 +51,19 @@ class TestTensorContainer:
         path = tmp_path_factory.mktemp("cont") / "t.gdml"
         data_io.write_container(path, {"x": arr})
         assert data_io.read_container(path)["x"].tobytes() == arr.tobytes()
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        # a pipe has no size to check payloads against, so it is buffered whole
+        arr = np.arange(12.0).reshape(3, 4)
+        data_io.write_container(tmp_path / "t.gdml", {"x": arr})
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes((tmp_path / "t.gdml").read_bytes()))
+        writer.start()
+        try:
+            assert data_io.read_container(fifo)["x"].tobytes() == arr.tobytes()
+        finally:
+            writer.join()
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "t.gdml"
@@ -70,8 +94,9 @@ class TestTensorContainer:
             data_io.read_container(path)
 
     def test_unsupported_dtype(self, tmp_path):
-        with pytest.raises(ContractError):
-            data_io.write_container(tmp_path / "t.gdml", {"x": np.zeros(2, dtype=complex)})
+        for dtype in (complex, np.float16):
+            with pytest.raises(ContractError, match="unsupported dtype"):
+                data_io.write_container(tmp_path / "t.gdml", {"x": np.zeros(2, dtype=dtype)})
 
 
 class TestPreprocess:
@@ -170,6 +195,20 @@ class TestStudyRoundtrip:
             assert a.neighbor_feat.tobytes() == b.neighbor_feat.tobytes()
             assert a.expression.tobytes() == b.expression.tobytes()
             assert a.coords.tobytes() == b.coords.tobytes()
+
+    def test_load_peak_near_the_bytes_it_returns(self, tmp_path):
+        # each payload is read once, into the array that is returned
+        spec = data_io.SynthSpec(n_spots=1000, n_slides=2, d_in=64, seed=3)
+        manifest = data_io.write_study(data_io.synth_generate(spec), tmp_path)
+        tracemalloc.start()
+        try:
+            batches = data_io.load_study(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(arr.nbytes for b in batches
+                   for arr in (b.local_feat, b.neighbor_feat, b.expression, b.coords))
+        assert peak <= 1.25 * held, f"peak {peak / held:.2f}x the {held / 2**20:.1f} MiB returned"
 
     def test_zero_total_spot_warns_at_load(self, tmp_path):
         spec = data_io.SynthSpec(n_spots=8, n_slides=1, latent_dim=3, n_genes=5, d_in=6, seed=12)

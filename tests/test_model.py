@@ -386,10 +386,12 @@ class TestModelInvariants:
         n = 401  # no block size below divides it; n + 1 is one unblocked pass
         batch = make_batch(cfg, n, seed=37)
         outputs = []
-        for block in (1, 7, 256, n + 1):
+        blocks = (1, 7, 32, 64, 128, 256, n + 1)
+        assert model._SPOT_BLOCK in blocks
+        for block in blocks:
             monkeypatch.setattr(model, "_SPOT_BLOCK", block)
             outputs.append(model.forward_image(params, batch, cfg).data.tobytes())
-        assert outputs[:3] == [outputs[3]] * 3
+        assert outputs[:-1] == [outputs[-1]] * (len(blocks) - 1)
 
     def test_training_pass_is_not_blocked(self, monkeypatch):
         # blocks would reorder the dropout draws even on constant parameters
