@@ -11,8 +11,8 @@ the same seed reproduce gradients bitwise.
 A :class:`Tape` is single-owner while recording and during backward; distinct
 tapes may be used from distinct threads.  Operations whose inputs are all
 constants (no tape) stay off any tape and just return a constant result, and
-no op computes a gradient for a constant operand.  Untaped attention scores
-one head at a time, so inference holds one head's T×T scores, not all heads'.
+no op computes a gradient for a constant operand.  Attention scores one head
+at a time and keeps every head's T×T scores only when taped, for the backward.
 
 The sweep contract: a tape is swept by :meth:`Tape.backward` once.  The sweep
 releases each node's closure, and with it the forward buffers the closure
@@ -34,7 +34,7 @@ from .errors import ContractError, ShapeError
 # tanh-form GELU constant: sqrt(2/pi)
 GELU_COEF = 0.7978845608028654
 GELU_CUBIC = 0.044715
-_SOFTMAX_BLOCK = 1 << 17  # scores (1 MiB) scaled and soft-maxed per pass at inference
+_SOFTMAX_BLOCK = 1 << 17  # scores (1 MiB) scaled and soft-maxed per pass
 
 
 class Tape:
@@ -459,9 +459,10 @@ def attention(q, k, v, heads: int) -> DiffTensor:
     Splits d into ``heads`` heads of width dh, takes the row softmax P of
     S = q kᵀ / sqrt(dh) per head and merges the heads of P v back to
     (B, T, d).  The backward uses the closed-form softmax Jacobian of
-    Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).  Untaped, it
-    forms one head's B·T² scores at a time in one reused buffer and soft-maxes
-    them in cache-sized row blocks: O(B·T·d + B·T²) memory, same bits.
+    Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).  One forward scores
+    a head at a time and soft-maxes it in cache-sized query-row blocks; a taped
+    call keeps every head's P for the backward, an untaped one refills one
+    head's: O(B·T·d + B·T²) memory.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
@@ -478,26 +479,23 @@ def attention(q, k, v, heads: int) -> DiffTensor:
         return np.ascontiguousarray(z.transpose(0, 2, 1, 3)).reshape(b, t, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    if q.tape is None and k.tape is None and v.tape is None:
-        # matmul runs one 2-D product per (b, h) slice either way, so the bits match
-        context = np.empty((b, heads, t, dh))
-        p = np.empty((b, 1, t, t))  # one head's scores, refilled for each head
-        rows, step = p.reshape(-1, t), max(1, _SOFTMAX_BLOCK // t)
-        for i in range(heads):
-            np.matmul(qh[:, i : i + 1], np.swapaxes(kh[:, i : i + 1], -1, -2), out=p)
-            # the products stay whole (row blocks of q would change BLAS bits);
-            # scaling and softmax act per row, so cache-sized row blocks keep them
-            for r in range(0, len(rows), step):
-                block = rows[r : r + step]
-                block *= scale
-                softmax_rows(block)
-            np.matmul(p, vh[:, i : i + 1], out=context[:, i : i + 1])
-        return DiffTensor(merge(context))
-    probs = qh @ np.swapaxes(kh, -1, -2)
-    probs *= scale
-    softmax_rows(probs)
+    taped = any(x.tape is not None for x in (q, k, v))
+    ph = np.empty((heads if taped else 1, b, t, t))  # head-major: each head's P is contiguous
+    context = np.empty((b, heads, t, dh))
+    step = max(1, _SOFTMAX_BLOCK // (b * t))  # query rows per softmax block
+    for i in range(heads):
+        p = ph[i if taped else 0]
+        # batched matmul runs one gemm per (b, h) slice, so whole-head products keep the bits
+        # (row blocks of q would not); scaling and softmax act per row, so row blocks do
+        np.matmul(qh[:, i], np.swapaxes(kh[:, i], -1, -2), out=p)
+        for r in range(0, t, step):
+            block = p[:, r : r + step]
+            block *= scale
+            softmax_rows(block)
+        np.matmul(p, vh[:, i], out=context[:, i])
 
     def backward(g: np.ndarray):
+        probs = np.swapaxes(ph, 0, 1)  # (B, H, T, T)
         gc = np.ascontiguousarray(split(g))
         gv = merge(np.swapaxes(probs, -1, -2) @ gc) if v.tape is not None else None
         gp = gc @ np.swapaxes(vh, -1, -2)
@@ -507,7 +505,7 @@ def attention(q, k, v, heads: int) -> DiffTensor:
         gk = merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)) if k.tape is not None else None
         return gq, gk, gv
 
-    return _make((q, k, v), merge(probs @ vh), backward)
+    return _make((q, k, v), merge(context), backward)
 
 
 # ---------------------------------------------------------------------------

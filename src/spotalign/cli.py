@@ -205,13 +205,20 @@ def cmd_train(args) -> int:
             )
 
     if reports:
-        hpg = evaluation.select_hpg(reports, top=min(50, n_genes))
-        summary = evaluation.aggregate(reports, hpg)
-        evaluation.write_report_csv(out_dir / "report.csv", reports, summary)
-        text = evaluation.format_report_text(reports, summary)
-        (out_dir / "summary.txt").write_text(text)
-        print(text, end="")
+        _write_reports(out_dir, reports)
     return 0
+
+
+def _write_reports(out_dir: Path, reports: list[evaluation.FoldReport]) -> None:
+    """Score the fold reports on their shared HPG set; write report.csv and
+    summary.txt to ``out_dir`` and print the summary."""
+    hpg = evaluation.select_hpg(reports, top=min(50, reports[0].n_genes))
+    summary = evaluation.aggregate(reports, hpg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    evaluation.write_report_csv(out_dir / "report.csv", reports, summary)
+    text = evaluation.format_report_text(reports, summary)
+    (out_dir / "summary.txt").write_text(text)
+    print(text, end="")
 
 
 def _batches_by_id(manifest_path):
@@ -245,15 +252,7 @@ def cmd_eval(args) -> int:
                 )
             pairs.append((by_id[sid].expression, pred))
 
-    report = evaluation.build_fold_report(0, pairs)
-    hpg = evaluation.select_hpg([report], top=min(50, report.n_genes))
-    summary = evaluation.aggregate([report], hpg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    evaluation.write_report_csv(out_dir / "report.csv", [report], summary)
-    text = evaluation.format_report_text([report], summary)
-    (out_dir / "summary.txt").write_text(text)
-    print(text, end="")
+    _write_reports(Path(args.out), [evaluation.build_fold_report(0, pairs)])
     return 0
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, ShapeError
+from .errors import ContractError, DataError, ShapeError, check_fields
 
 # ---------------------------------------------------------------------------
 # binary tensor container
@@ -102,15 +102,12 @@ def _read_entries(path: Path, f, size: int) -> dict[str, np.ndarray]:
     magic = f.read(4)
     if magic != MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}")
-    offset = 4
 
     def unpack(fmt: str) -> tuple:
-        nonlocal offset
         want = struct.calcsize(fmt)
         raw = f.read(want)
         if len(raw) != want:
-            raise DataError(f"{path}: truncated header at byte {offset}")
-        offset += want
+            raise DataError(f"{path}: truncated header at byte {f.tell() - len(raw)}")
         return struct.unpack(fmt, raw)
 
     (version,) = unpack("<H")
@@ -120,11 +117,11 @@ def _read_entries(path: Path, f, size: int) -> dict[str, np.ndarray]:
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = unpack("<H")
+        start = f.tell()
         try:
             name = f.read(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: entry name at byte {offset} is not UTF-8") from exc
-        offset += name_len
+            raise DataError(f"{path}: entry name at byte {start} is not UTF-8") from exc
         tag, rank = unpack("<BB")
         if tag not in _TAG_TO_DTYPE:
             raise DataError(f"{path}: unknown dtype tag {tag} for entry {name!r}")
@@ -133,7 +130,7 @@ def _read_entries(path: Path, f, size: int) -> dict[str, np.ndarray]:
         dims = unpack(f"<{rank}I") if rank else ()
         dtype = _TAG_TO_DTYPE[tag]
         nbytes = math.prod(dims) * dtype.itemsize  # exact: corrupt dims cannot wrap
-        if nbytes > size - offset:
+        if nbytes > size - f.tell():
             raise DataError(f"{path}: truncated payload for entry {name!r}")
         if name in entries:
             raise DataError(f"{path}: duplicate entry name {name!r}")
@@ -144,10 +141,9 @@ def _read_entries(path: Path, f, size: int) -> dict[str, np.ndarray]:
         # a flat byte view: memoryview(arr).cast("B") raises on zero-size arrays
         if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
             raise DataError(f"{path}: truncated payload for entry {name!r}")
-        offset += nbytes
         entries[name] = arr.astype(dtype.newbyteorder("="), copy=False)
-    if offset != size:
-        raise DataError(f"{path}: {size - offset} trailing bytes after last entry")
+    if f.tell() != size:
+        raise DataError(f"{path}: {size - f.tell()} trailing bytes after last entry")
     return entries
 
 
@@ -422,14 +418,15 @@ class SynthSpec:
     cluster_strength: float = 0.7
 
     def __post_init__(self):
+        check_fields(self, (("n_spots", 1), ("n_slides", 1), ("latent_dim", 1), ("n_genes", 1),
+                            ("d_in", 1), ("neighbor_grid", 1), ("n_clusters", 0), ("seed", 0),
+                            ("sigma", 0)))
         if not 0.0 <= self.rho <= 1.0:
             raise ContractError(f"rho must be in [0, 1], got {self.rho}")
-        if self.sigma < 0.0:
-            raise ContractError(f"sigma must be >= 0, got {self.sigma}")
+        if self.count_scale <= 0.0:
+            raise ContractError(f"count_scale must be > 0, got {self.count_scale}")
         if self.neighbor_grid % 2 != 1:
             raise ContractError("neighbor_grid must be odd")
-        if self.n_clusters < 0:
-            raise ContractError("n_clusters must be >= 0")
         if not 0.0 <= self.cluster_strength < 1.0:
             raise ContractError("cluster_strength must be in [0, 1)")
 

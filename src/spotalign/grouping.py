@@ -137,6 +137,8 @@ def kmeans(
     n = points.shape[0]
     if k <= 0:
         raise ContractError(f"k must be positive, got {k}")
+    if n_init < 1:
+        raise ContractError(f"n_init must be >= 1, got {n_init}")
     if k > n:
         raise ContractError(f"k={k} exceeds the number of points n={n}")
     if not np.all(np.isfinite(points)):
@@ -145,7 +147,7 @@ def kmeans(
         points = l2_normalize_rows(points)
 
     best = None
-    for restart in range(max(1, n_init)):
+    for restart in range(n_init):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
         result = _lloyd(points, k, rng, max_iter, tol)
         if best is None or result[2] < best[2]:

@@ -36,10 +36,7 @@ def internal_target(i_s: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if i_s.shape != g.shape:
         raise ShapeError(f"embedding shapes differ: {i_s.shape} vs {g.shape}")
-    z = (i_s @ i_s.T + g @ g.T) / (2.0 * tau)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return ad.softmax_rows((i_s @ i_s.T + g @ g.T) / (2.0 * tau))
 
 
 def _weighted_nll(logits: DiffTensor, targets: np.ndarray) -> DiffTensor:

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io
 from .autodiff import DiffTensor
-from .errors import ContractError, DataError, ShapeError
+from .errors import ContractError, DataError, ShapeError, check_fields
 
 SCALES = ("local", "neighbor", "global")
 
@@ -54,11 +54,9 @@ class ModelConfig:
     fusion_mode: str = "mean"
 
     def __post_init__(self):
-        for name, least in (("d_in", 1), ("d", 1), ("heads", 1), ("neighbor_tokens", 1),
+        check_fields(self, (("d_in", 1), ("d", 1), ("heads", 1), ("neighbor_tokens", 1),
                             ("neighbor_blocks", 0), ("global_blocks", 0), ("fusion_blocks", 0),
-                            ("d_ff", 0)):
-            if getattr(self, name) < least:
-                raise ContractError(f"{name}={getattr(self, name)} must be >= {least}")
+                            ("d_ff", 0)))
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d % self.heads != 0:
@@ -109,12 +107,9 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     for scale in SCALES:
         shapes[f"proj_{scale}/w"] = (cfg.d_in, cfg.d)
         shapes[f"proj_{scale}/b"] = (cfg.d,)
-    for i in range(cfg.neighbor_blocks):
-        shapes.update(_block_shapes(f"neighbor/block{i}", cfg.d, cfg.d_ff))
-    for i in range(cfg.global_blocks):
-        shapes.update(_block_shapes(f"global/block{i}", cfg.d, cfg.d_ff))
-    for i in range(cfg.fusion_blocks):
-        shapes.update(_block_shapes(f"fusion/block{i}", cfg.d, cfg.d_ff))
+    for group in ("neighbor", "global", "fusion"):
+        for i in range(getattr(cfg, f"{group}_blocks")):
+            shapes.update(_block_shapes(f"{group}/block{i}", cfg.d, cfg.d_ff))
     if cfg.fusion_mode == "concat":
         shapes["fusion/out/w"] = (3 * cfg.d, cfg.d)
         shapes["fusion/out/b"] = (cfg.d,)

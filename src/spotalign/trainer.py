@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation, grouping, losses, model
 from .data_io import SpotBatch
-from .errors import ContractError, DataError, NumericError
+from .errors import ContractError, DataError, NumericError, check_fields
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -44,12 +44,11 @@ class TrainConfig:
     kmeans_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lr <= 0 or self.decay <= 0 or self.decay_every <= 0:
-            raise ContractError("lr, decay, and decay_every must be positive")
-        if self.batch_size <= 0 or self.epochs <= 0 or self.k <= 0:
-            raise ContractError("batch_size, epochs, and k must be positive")
-        if self.lam < 0 or self.multi_ins_weight < 0:
-            raise ContractError("loss weights must be >= 0")
+        check_fields(self, (("decay_every", 1), ("batch_size", 1), ("epochs", 1), ("k", 1),
+                            ("kmeans_n_init", 1), ("kmeans_max_iter", 1), ("seed", 0),
+                            ("lam", 0), ("multi_ins_weight", 0), ("kmeans_tol", 0)))
+        if self.lr <= 0 or self.decay <= 0:
+            raise ContractError("lr and decay must be positive")
         if self.tau <= 0 or self.tau_ig <= 0:
             raise ContractError("temperatures must be positive")
         if self.target_mode not in ("hard", "soft"):
@@ -171,18 +170,6 @@ def _derived_seed(*path: int) -> int:
     return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
 
 
-def _cluster(e_clu_img, e_clu_gene, cfg: TrainConfig, seed_img: int, seed_gene: int):
-    img = grouping.kmeans(
-        e_clu_img, cfg.k, seed_img,
-        max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol, n_init=cfg.kmeans_n_init,
-    )
-    gene = grouping.kmeans(
-        e_clu_gene, cfg.k, seed_gene,
-        max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol, n_init=cfg.kmeans_n_init,
-    )
-    return img, gene
-
-
 def train_fold(
     fold_id: int,
     plan: FoldPlan,
@@ -272,16 +259,9 @@ def train_fold(
 
             cross = ad.constant(0.0)
             if cfg.lam > 0:
-                const_pt = model.as_tensors(params)
                 if sub.n_spots >= cfg.k and cfg.cluster_refresh == "batch":
-                    e_clu_img = grouping.group_project(const_pt, emb.fused.data, "image").data
-                    e_clu_gene = grouping.group_project(const_pt, emb.gene.data, "gene").data
-                    img_state, gene_state = _cluster(
-                        e_clu_img, e_clu_gene, cfg,
-                        _derived_seed(cfg.seed, fold_id, epoch, step, 17),
-                        _derived_seed(cfg.seed, fold_id, epoch, step, 19),
-                    )
-                    centroids_prev = (img_state.centroids, gene_state.centroids)
+                    seeds = [_derived_seed(cfg.seed, fold_id, epoch, step, s) for s in (17, 19)]
+                    centroids_prev = _centroids(params, [emb], cfg, seeds)
                 elif centroids_prev is None:
                     emit(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
                 elif cfg.cluster_refresh == "batch":
@@ -326,24 +306,27 @@ def train_fold(
 
 
 def _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch):
-    """Epoch-mode refresh: cluster the grouping features of every training
-    spot (eval-mode embeddings, per slide for global context)."""
-    const_pt = model.as_tensors(params)
-    img_parts, gene_parts = [], []
-    for b in train_batches:
-        emb = model.forward_embeddings(const_pt, b, model_cfg)
-        img_parts.append(grouping.group_project(const_pt, emb.fused.data, "image").data)
-        gene_parts.append(grouping.group_project(const_pt, emb.gene.data, "gene").data)
-    e_img = np.concatenate(img_parts, axis=0)
-    e_gene = np.concatenate(gene_parts, axis=0)
-    if e_img.shape[0] < cfg.k:
+    """Epoch-mode refresh from every training spot (eval-mode embeddings, per
+    slide for global context); None when there are fewer spots than k."""
+    if sum(b.n_spots for b in train_batches) < cfg.k:
         return None
-    img_state, gene_state = _cluster(
-        e_img, e_gene, cfg,
-        _derived_seed(cfg.seed, fold_id, epoch, 23),
-        _derived_seed(cfg.seed, fold_id, epoch, 29),
-    )
-    return (img_state.centroids, gene_state.centroids)
+    const_pt = model.as_tensors(params)
+    embeddings = [model.forward_embeddings(const_pt, b, model_cfg) for b in train_batches]
+    seeds = [_derived_seed(cfg.seed, fold_id, epoch, s) for s in (23, 29)]
+    return _centroids(params, embeddings, cfg, seeds)
+
+
+def _centroids(params, embeddings, cfg: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Image and gene k-means centroids of the grouping features of
+    ``embeddings`` (their spots concatenated), one seed per modality."""
+    const_pt = model.as_tensors(params)
+    centroids = []
+    per_modality = zip(*[(e.fused.data, e.gene.data) for e in embeddings])
+    for modality, feats, seed in zip(("image", "gene"), per_modality, seeds):
+        e_clu = np.concatenate([grouping.group_project(const_pt, x, modality).data for x in feats])
+        centroids.append(grouping.kmeans(e_clu, cfg.k, seed, max_iter=cfg.kmeans_max_iter,
+                                         tol=cfg.kmeans_tol, n_init=cfg.kmeans_n_init).centroids)
+    return centroids[0], centroids[1]
 
 
 # ---------------------------------------------------------------------------

@@ -325,8 +325,9 @@ class TestFusedPrimitives:
         for g, w in zip(got, want):  # output, then the q, k and v gradients
             assert_same_bytes(g, w)
 
-    # the untaped path scores one head at a time; query-row blocks would not
-    # keep these bits (BLAS picks its kernel by shape), whole heads do
+    # both paths score one head at a time (untaped calls keep one head's scores);
+    # query-row blocks of q would not keep these bits (BLAS picks its kernel by
+    # shape), whole heads do
     @pytest.mark.parametrize("b,t,d,heads", ATTENTION_SHAPES + [(1, 401, 24, 4), (1, 1000, 32, 8)])
     def test_untaped_attention_matches_taped_bytewise(self, b, t, d, heads):
         rng = np.random.default_rng(b * t + d)
@@ -336,15 +337,19 @@ class TestFusedPrimitives:
         assert untaped.tape is None
         assert_same_bytes(untaped.data, taped)
 
-    @pytest.mark.parametrize("block", [1, 3 * 401, 100 * 401 + 5, 10**9])
-    def test_untaped_softmax_row_blocks_keep_bits(self, monkeypatch, block):
-        # 1, 3 and 100 of the 802 score rows per block (a short last block), or all
+    @pytest.mark.parametrize("block", [1, 3 * 802, 100 * 802 + 5, 10**9])
+    def test_softmax_row_blocks_keep_bits(self, monkeypatch, block):
+        # 1, 3 and 100 of the 401 query rows of both slides per block (a short
+        # last block), or all, in taped and untaped calls alike
         rng = np.random.default_rng(block)
         q, k, v = (rng.normal(size=(2, 401, 24)) * 2.0 for _ in range(3))
-        taped = output_and_grads(lambda *qkv: ad.attention(*qkv, 4), q, k, v)[0]
+        want = output_and_grads(lambda *qkv: ref_attention(*qkv, 4), q, k, v)
         monkeypatch.setattr(ad, "_SOFTMAX_BLOCK", block)
+        got = output_and_grads(lambda *qkv: ad.attention(*qkv, 4), q, k, v)
+        for g, w in zip(got, want):  # output, then the q, k and v gradients
+            assert_same_bytes(g, w)
         untaped = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 4)
-        assert_same_bytes(untaped.data, taped)
+        assert_same_bytes(untaped.data, want[0])
 
     @pytest.mark.parametrize("b,t,d,heads", [(2, 3, 4, 2), (1, 4, 6, 3), (3, 1, 2, 1)])
     def test_attention_gradients_pass_grad_check(self, b, t, d, heads):

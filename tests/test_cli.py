@@ -15,7 +15,7 @@ import pytest
 from spotalign import cli, data_io, model
 from spotalign.cli import main
 from spotalign.data_io import SynthSpec
-from spotalign.errors import DataError
+from spotalign.errors import ContractError, DataError
 from spotalign.model import ModelConfig
 from spotalign.trainer import TrainConfig
 
@@ -90,6 +90,22 @@ class TestSimulate:
         spec.write_text("[synth]\nn_spots = 10\nbananas = 3\n")
         assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
         assert "error: config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_spots", "0"), ("n_spots", "-3"), ("n_slides", "0"), ("n_slides", "-1"),
+        ("latent", "-1"), ("latent", "0"), ("genes", "-1"), ("genes", "0"),
+        ("d_in", "-2"), ("d_in", "0"), ("neighbor_grid", "-1"), ("seed", "-1"),
+        ("sigma", "nan"), ("sigma", "inf"),
+        ("count_scale", "-1"), ("count_scale", "0"), ("count_scale", "nan"), ("count_scale", "inf"),
+    ])
+    def test_impossible_synth_value_exits_2(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "bad.ini"
+        spec.write_text(f"[synth]\n{key} = {value}\n")
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1, err
+        assert key in err, err  # latent and genes are part of their field names
+        assert not (tmp_path / "x").exists()
 
 
 # Short INI names of five fields; every other key is its field name.
@@ -178,6 +194,15 @@ class TestConfigSchema:
         assert main(["train", "--config", str(config)]) == 2
         key = line.split(" =")[0]
         assert f"error: config: unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls,name", [
+        (cls, f.name) for cls in (ModelConfig, TrainConfig, SynthSpec) for f in fields(cls)
+        if f.type == "float"
+    ])
+    def test_nan_float_field_rejected(self, cls, name):
+        required = {"n_genes": 8} if cls is ModelConfig else {}
+        with pytest.raises(ContractError, match=name):
+            cls(**required, **{name: math.nan})
 
 
 # Each config the README and these tests use, with the dataclasses it meant
@@ -329,6 +354,24 @@ class TestTrainPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and err.count("\n") == 1, err
         assert key in err, err
+        assert not (study_dir / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("lambda", "nan"), ("multi_ins_weight", "nan"), ("decay", "nan"), ("tau_ig", "inf"),
+        ("kmeans_tol", "nan"), ("kmeans_tol", "-1"), ("kmeans_n_init", "0"),
+        ("kmeans_n_init", "-2"), ("kmeans_max_iter", "-1"), ("lr", "nan"), ("tau", "nan"),
+        ("seed", "-1"),
+    ])
+    def test_impossible_train_value_exits_2(self, study_dir, capsys, key, value):
+        field = {alias: name for name, alias in ALIASES.items()}.get(key, key)
+        section = "loss" if field in LOSS_FIELDS else "train"
+        config = study_dir / "run.ini"
+        text = re.sub(rf"^{key} = .*\n", "", RUN_CONFIG, flags=re.M)
+        config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1, err
+        assert field in err, err
         assert not (study_dir / "run").exists()
 
     def test_unknown_train_key_exits_2(self, study_dir, capsys):

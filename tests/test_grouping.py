@@ -165,6 +165,12 @@ class TestKMeans:
                 f"seed {seed}: kmeans {state.inertia} vs brute force {best}"
             )
 
+    @pytest.mark.parametrize("n_init", [0, -2])
+    def test_n_init_below_one_rejected(self, n_init):
+        points = np.random.default_rng(4).normal(size=(10, 3))
+        with pytest.raises(ContractError, match="n_init"):
+            grouping.kmeans(points, k=2, seed=0, n_init=n_init)
+
     def test_inertia_trace_non_increasing(self):
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)

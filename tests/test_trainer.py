@@ -218,6 +218,21 @@ class TestTrainFold:
         result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
         assert len(result.history) == 2
 
+    def test_epoch_refresh_below_k_skips_cross(self):
+        batches, mcfg = desk_setup(n_spots=20)
+        tcfg = trainer.TrainConfig(
+            lr=1e-3, batch_size=10, epochs=2, seed=6, k=25, lam=0.8, n_folds=2,
+            cluster_refresh="epoch", kmeans_n_init=2,
+        )
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 6)
+        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        steps = [line for line in result.log_lines if line.startswith("step=")]
+        skipped = [line for line in steps if "event=cross_skipped reason=no_centroids" in line]
+        trained = [line for line in steps if "event=" not in line]
+        assert len(skipped) == len(trained) == len(steps) // 2 > 0
+        assert all(" cross=0.0 " in line for line in trained)
+        assert len(result.history) == 2
+
 
 class TestInfer:
     def test_whole_slide_peak_below_half_a_score_tensor(self):
