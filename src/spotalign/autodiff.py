@@ -3,8 +3,8 @@
 Everything the encoders and losses need is built from the primitives here:
 broadcasting elementwise arithmetic, (batched) matmul and a fused linear
 layer, shape ops and a one-entry slice, reductions, GELU, dropout, and layer
-norm, log-softmax over the last axis and multi-head attention as single tape
-nodes with a closed-form backward.  ``softmax_rows`` is plain numpy on
+norm, soft-target cross-entropy and multi-head attention as single tape nodes
+with a closed-form backward.  ``softmax_rows`` is plain numpy on
 arrays and records nothing.  Values are kept in float64 so repeated runs with
 the same seed reproduce gradients bitwise.
 
@@ -399,14 +399,20 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def log_softmax_rows(a) -> DiffTensor:
-    """log(softmax) along the last axis; shift by the row max for stability."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+def cross_entropy(logits, targets) -> DiffTensor:
+    """-sum(targets * log_softmax(logits)) over the last axis as one node; it repeats
+    tsum(mul(-targets, log-softmax))'s IEEE operations in order, so the bits match."""
+    z, neg_t = as_tensor(logits), -_as_array(targets)
+    shifted = z.data - z.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
-    data = shifted - np.log(total)
-    return _make((a,), data, lambda g: (g - g.sum(axis=-1, keepdims=True) / total * e,))
+    shifted -= np.log(total)  # now log_softmax(logits)
+
+    def backward(g: np.ndarray):
+        gl = np.multiply(g, neg_t, order="C")  # as the sweep stored it: rows sum contiguously
+        return (gl - gl.sum(axis=-1, keepdims=True) / total * e,)
+
+    return _make((z,), (neg_t * shifted).sum(), backward)
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, training: bool = True) -> DiffTensor:

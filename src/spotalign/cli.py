@@ -16,6 +16,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import contextlib
+import multiprocessing
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -63,19 +66,6 @@ _RUN_SECTIONS = {
 }
 
 
-def _read_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path) as f:
-            parser.read_file(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
-    return parser
-
-
 def _section(parser, name, keymap) -> dict:
     """Typed extraction of one section; unknown keys are hard errors."""
     if name not in parser:
@@ -113,7 +103,7 @@ def _echo_config(path, values: dict[str, dict]) -> None:
 
 
 def _load_synth_spec(path) -> data_io.SynthSpec:
-    parser = _read_ini(path)
+    parser = data_io.read_ini(path, ConfigError)
     _reject_unknown_sections(parser, {"synth"})
     if "synth" not in parser:
         raise ConfigError("simulate spec needs a [synth] section")
@@ -130,7 +120,7 @@ def cmd_simulate(args) -> int:
 def _load_run_config(path):
     """Returns the manifest path, the output directory, and the [model]
     and [loss]+[train] keyword arguments."""
-    parser = _read_ini(path)
+    parser = data_io.read_ini(path, ConfigError)
     _reject_unknown_sections(parser, _RUN_SECTIONS)
     sections = {name: _section(parser, name, keymap) for name, keymap in _RUN_SECTIONS.items()}
     if "manifest" not in sections["data"]:
@@ -150,19 +140,31 @@ def _train_one_fold(payload):
     return fold_id, trainer.train_fold(fold_id, plan, batches, model_cfg, train_cfg)
 
 
+@contextlib.contextmanager
+def _fold_pool(jobs: int):
+    """``jobs`` spawned workers, each started with one BLAS thread so they do not
+    oversubscribe the cores (a forked worker keeps this process's BLAS threads)."""
+    saved = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    os.environ.update(dict.fromkeys(saved, "1"))
+    try:
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=spawn) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def cmd_train(args) -> int:
     manifest, out_dir, model_kwargs, train_kwargs = _load_run_config(args.config)
-    batches = data_io.load_study(manifest)
-    if not batches:
-        raise DataError(f"manifest {manifest} lists no samples")
-    n_genes = batches[0].n_genes
-    d_in = batches[0].local_feat.shape[1]
-    tokens = batches[0].neighbor_feat.shape[1]
-
-    model_kwargs.setdefault("d_in", d_in)
-    model_kwargs.setdefault("neighbor_tokens", tokens)
+    batches = _load_samples(manifest)
+    model_kwargs.setdefault("d_in", batches[0].local_feat.shape[1])
+    model_kwargs.setdefault("neighbor_tokens", batches[0].neighbor_feat.shape[1])
     try:
-        model_cfg = model.ModelConfig(n_genes=n_genes, **model_kwargs)
+        model_cfg = model.ModelConfig(n_genes=batches[0].n_genes, **model_kwargs)
         train_cfg = trainer.TrainConfig(**train_kwargs)
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
@@ -186,7 +188,7 @@ def cmd_train(args) -> int:
     fold_ids = sorted(plan.folds)
     payloads = [(f, plan, batches, model_cfg, train_cfg) for f in fold_ids]
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with _fold_pool(args.jobs) as pool:
             results = dict(pool.map(_train_one_fold, payloads))
     else:
         results = dict(map(_train_one_fold, payloads))
@@ -221,56 +223,53 @@ def _write_reports(out_dir: Path, reports: list[evaluation.FoldReport]) -> None:
     print(text, end="")
 
 
-def _batches_by_id(manifest_path):
+def _load_samples(manifest_path) -> list[data_io.SpotBatch]:
     batches = data_io.load_study(manifest_path)
     if not batches:
         raise DataError(f"manifest {manifest_path} lists no samples")
-    return {b.sample_id: b for b in batches}
+    return batches
+
+
+def _prediction(entries, path, sid: str, shape: tuple) -> np.ndarray:
+    """Entry ``pred:<sid>`` of a predictions container: a finite matrix of ``shape``."""
+    pred = entries.get(f"pred:{sid}")
+    if pred is None or pred.ndim != 2 or pred.shape != shape:
+        got = "is missing" if pred is None else f"has shape {pred.shape}"
+        raise DataError(f"{path}: pred:{sid} {got}, expected {shape}")
+    if not np.isfinite(pred).all():
+        raise DataError(f"{path}: pred:{sid} has non-finite values")
+    return pred
 
 
 def cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.predictions is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --predictions")
-    by_id = _batches_by_id(args.manifest)
-    pairs = []
+    samples = sorted(_load_samples(args.manifest), key=lambda b: b.sample_id)
     if args.checkpoint is not None:
         params, model_cfg = model.load_checkpoint(args.checkpoint)
-        for sid in sorted(by_id):
-            b = by_id[sid]
-            pairs.append((b.expression, trainer.infer(params, model_cfg, b)))
+        report = trainer.evaluate_fold(0, params, model_cfg, samples)
     else:
         entries = data_io.read_container(args.predictions)
-        for sid in sorted(by_id):
-            key = f"pred:{sid}"
-            if key not in entries:
-                raise DataError(f"{args.predictions}: missing entry {key!r}")
-            pred = entries[key]
-            if pred.shape != by_id[sid].expression.shape:
-                raise DataError(
-                    f"{args.predictions}: {key} has shape {pred.shape}, "
-                    f"expected {by_id[sid].expression.shape}"
-                )
-            pairs.append((by_id[sid].expression, pred))
-
-    _write_reports(Path(args.out), [evaluation.build_fold_report(0, pairs)])
+        report = evaluation.build_fold_report(0, [
+            (b.expression, _prediction(entries, args.predictions, b.sample_id, b.expression.shape))
+            for b in samples
+        ])
+    _write_reports(Path(args.out), [report])
     return 0
 
 
 def cmd_predict(args) -> int:
     params, model_cfg = model.load_checkpoint(args.checkpoint)
-    by_id = _batches_by_id(args.manifest)
+    samples = sorted(_load_samples(args.manifest), key=lambda b: b.sample_id)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: dict[str, np.ndarray] = {}
-    for sid in sorted(by_id):
-        b = by_id[sid]
-        entries[f"pred:{sid}"] = trainer.infer(params, model_cfg, b)
-        entries[f"coords:{sid}"] = b.coords
+    for b in samples:
+        entries[f"pred:{b.sample_id}"] = trainer.infer(params, model_cfg, b)
+        entries[f"coords:{b.sample_id}"] = b.coords
     data_io.write_container(out_dir / "predictions.gdml", entries)
 
-    manifest_dir = Path(args.manifest).parent
-    parser = data_io.read_manifest(args.manifest)
-    gene_file = manifest_dir / parser["study"]["genes"]
+    gene_file = Path(args.manifest).parent / data_io.read_ini(args.manifest)["study"]["genes"]
     data_io.write_gene_list(out_dir / "genes.txt", data_io.read_gene_list(gene_file))
     print(f"predictions={out_dir / 'predictions.gdml'}")
     return 0
@@ -282,8 +281,8 @@ def cmd_render(args) -> int:
     if not sample_ids:
         raise DataError(f"{args.predictions}: no prediction entries")
     sid = args.sample or sample_ids[0]
-    if f"pred:{sid}" not in entries or f"coords:{sid}" not in entries:
-        raise DataError(f"{args.predictions}: sample {sid!r} needs a pred and a coords entry")
+    if f"coords:{sid}" not in entries:
+        raise DataError(f"{args.predictions}: sample {sid!r} has no coords entry")
 
     genes_path = Path(args.genes) if args.genes else Path(args.predictions).parent / "genes.txt"
     gene_names = data_io.read_gene_list(genes_path)
@@ -291,11 +290,8 @@ def cmd_render(args) -> int:
         raise DataError(f"gene {args.gene!r} not in {genes_path}")
     gi = gene_names.index(args.gene)
 
-    pred = entries[f"pred:{sid}"]
-    if pred.ndim != 2 or pred.shape[1] != len(gene_names):
-        raise DataError(f"{args.predictions}: pred:{sid} has shape {pred.shape}, not N x "
-                        f"{len(gene_names)} as {genes_path} names")
     coords = entries[f"coords:{sid}"]
+    pred = _prediction(entries, args.predictions, sid, coords.shape[:1] + (len(gene_names),))
     render.render_hex_svg(coords, pred[:, gi], args.out, title=f"{sid} {args.gene}")
     print(f"svg={args.out}")
     return 0

@@ -240,8 +240,27 @@ _STUDY_KEYS = {"columns", "genes"}
 _SAMPLE_KEYS = {"patient", "local", "neighbor", "expression", "coords"}
 
 
+def read_text(path, error: type[Exception] = DataError) -> str:
+    """A UTF-8 text file's contents; ``error`` if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def read_ini(path, error: type[Exception] = DataError) -> configparser.ConfigParser:
+    """A manifest, run config or spec: case-kept keys, no interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_string(read_text(path, error), source=str(path))
+    except configparser.Error as exc:
+        raise error(f"malformed {path}: {exc}") from exc
+    return parser
+
+
 def read_gene_list(path) -> list[str]:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    lines = [ln.strip() for ln in read_text(path).splitlines()]
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
@@ -251,7 +270,7 @@ def write_gene_list(path, names: list[str]) -> None:
 
 def read_coords(path) -> tuple[list[str], np.ndarray]:
     """Read a tab-separated (spot_id, row, col) table with header."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].split("\t") != ["spot_id", "row", "col"]:
         raise DataError(f"{path}: expected header 'spot_id\\trow\\tcol'")
     ids, rows = [], []
@@ -276,19 +295,6 @@ def write_coords(path, spot_ids: list[str], coords: np.ndarray) -> None:
             f.write(f"{sid}\t{int(r)}\t{int(c)}\n")
 
 
-def read_manifest(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path) as f:
-            parser.read_file(f)
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise DataError(f"malformed manifest {path}: {exc}") from exc
-    return parser
-
-
 def load_study(manifest_path) -> list[SpotBatch]:
     """Load every sample in a manifest, cross-checking dimensions.
 
@@ -297,7 +303,7 @@ def load_study(manifest_path) -> list[SpotBatch]:
     are dropped during preprocessing.
     """
     manifest_path = Path(manifest_path)
-    parser = read_manifest(manifest_path)
+    parser = read_ini(manifest_path)
     sample_sections = [s for s in parser.sections() if s.startswith("sample:")]
     if not sample_sections:
         return []

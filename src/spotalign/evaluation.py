@@ -45,28 +45,28 @@ def _unit_scaled(centered: np.ndarray) -> np.ndarray:
     return np.ldexp(centered, -np.frexp(np.abs(centered).max())[1])
 
 
-def mse_metric(y, y_hat) -> float:
-    """Per-element mean squared error over all N*M entries."""
+def _same_shape(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
     y, y_hat = np.asarray(y, dtype=np.float64), np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise ShapeError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
+    return y, y_hat
+
+
+def mse_metric(y, y_hat) -> float:
+    """Per-element mean squared error over all N*M entries."""
+    y, y_hat = _same_shape(y, y_hat)
     return float(((y - y_hat) ** 2).mean())
 
 
 def mae_metric(y, y_hat) -> float:
     """Per-element mean absolute error over all N*M entries."""
-    y, y_hat = np.asarray(y, dtype=np.float64), np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise ShapeError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
+    y, y_hat = _same_shape(y, y_hat)
     return float(np.abs(y - y_hat).mean())
 
 
 def per_gene_pcc(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """Column-wise Pearson correlation; NaN columns where undefined."""
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    if truth.shape != pred.shape:
-        raise ShapeError(f"shape mismatch: {truth.shape} vs {pred.shape}")
+    truth, pred = _same_shape(truth, pred)
     return np.array([pcc(truth[:, g], pred[:, g]) for g in range(truth.shape[1])])
 
 

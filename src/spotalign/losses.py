@@ -39,11 +39,6 @@ def internal_target(i_s: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
     return ad.softmax_rows((i_s @ i_s.T + g @ g.T) / (2.0 * tau))
 
 
-def _weighted_nll(logits: DiffTensor, targets: np.ndarray) -> DiffTensor:
-    """Sum of -targets * log_softmax(logits) over all entries."""
-    return ad.tsum(ad.mul(ad.constant(-targets), ad.log_softmax_rows(logits)))
-
-
 def multi_scale_instance_loss(
     per_scale: Sequence[DiffTensor],
     gene: DiffTensor,
@@ -68,7 +63,7 @@ def multi_scale_instance_loss(
     for si, i_s in enumerate(per_scale):
         t_s = internal_target(i_s.data, gene.data, tau) if targets is None else targets[si]
         z = ad.matmul(i_s, ad.transpose(gene))
-        loss_s = (_weighted_nll(z, t_s) + _weighted_nll(ad.transpose(z), t_s.T)) * (1.0 / n)
+        loss_s = (ad.cross_entropy(z, t_s) + ad.cross_entropy(ad.transpose(z), t_s.T)) * (1.0 / n)
         scale_losses.append(loss_s)
     total = (scale_losses[0] + scale_losses[1] + scale_losses[2]) * (1.0 / 3.0)
     return total, tuple(loss.item() for loss in scale_losses)
@@ -123,7 +118,7 @@ def cross_level_loss(
             t_gene = ad.softmax_rows(logits_gene.data.copy())
     else:
         raise ContractError(f"target_mode must be 'hard' or 'soft', got {target_mode!r}")
-    return (_weighted_nll(logits_img, t_img) + _weighted_nll(logits_gene, t_gene)) * (1.0 / n)
+    return (ad.cross_entropy(logits_img, t_img) + ad.cross_entropy(logits_gene, t_gene)) * (1.0 / n)
 
 
 def prediction_loss(predicted: DiffTensor, target) -> DiffTensor:

@@ -265,10 +265,7 @@ def scale_fusion(
             f"scale embeddings disagree: {i_local.shape}, {i_neighbor.shape}, {i_global.shape}"
         )
     n, d = i_local.shape
-    stacked = ad.concat(
-        [ad.reshape(t, (n, 1, d)) for t in (i_local, i_neighbor, i_global)], axis=1
-    )  # (N, 3, d)
-    x = stacked
+    x = ad.reshape(ad.concat([i_local, i_neighbor, i_global], axis=-1), (n, 3, d))
     for i in range(cfg.fusion_blocks):
         x = attention_block(x, p, f"fusion/block{i}", cfg.heads, cfg.dropout, rng, training)
 

@@ -176,7 +176,9 @@ def ref_pow_const(a, exponent: float):
 def ref_log_softmax_rows(a):
     a = ad.as_tensor(a)
     shifted = a - ad.constant(a.data.max(axis=-1, keepdims=True))
-    return shifted - ref_log(ad.tsum(ref_exp(shifted), axis=-1, keepdims=True))
+    # adding (-1) * log forms the row sum of g as -sum(g), as ad.cross_entropy
+    # does; sum(-g) gives zeros of the other sign where a target row is all zero
+    return shifted + ref_log(ad.tsum(ref_exp(shifted), axis=-1, keepdims=True)) * -1.0
 
 
 def ref_layer_norm(a, gain, bias, eps: float = 1e-5):
@@ -261,17 +263,34 @@ def assert_same_bytes(got, want):
 class TestFusedPrimitives:
     """Each fused primitive against the composite it replaced."""
 
-    @pytest.mark.parametrize("shape,view", [
-        ((4, 6), lambda t: t),
-        ((6, 4), ad.transpose),  # the gene-to-image direction of the losses
-        ((2, 3, 5), lambda t: t),
-    ])
-    def test_log_softmax_matches_composite_bytewise(self, shape, view):
-        x = np.random.default_rng(len(shape)).normal(size=shape) * 4.0
-        got = output_and_grads(lambda t: ad.log_softmax_rows(view(t)), x)
-        want = output_and_grads(lambda t: ref_log_softmax_rows(view(t)), x)
-        for g, w in zip(got, want):
+    # batch-sized shapes: at (7, 5) a row sum over the wrong layout still gave the same bits
+    @pytest.mark.parametrize("shape", [(200, 200), (200, 25)])
+    @pytest.mark.parametrize("soft", [False, True], ids=["one_hot", "soft"])
+    @pytest.mark.parametrize("view", [lambda t: t, ad.transpose], ids=["rows", "transposed"])
+    def test_cross_entropy_matches_composite_bytewise(self, shape, soft, view):
+        rng = np.random.default_rng(shape[1] + soft)
+        x = rng.normal(size=shape) * 4.0
+        t = view(ad.constant(self._targets(rng, shape, soft))).data
+        got = output_and_grads(lambda z: ad.cross_entropy(view(z), t), x)
+        want = output_and_grads(
+            lambda z: ad.tsum(ad.mul(ad.constant(-t), ref_log_softmax_rows(view(z)))), x
+        )
+        for g, w in zip(got, want):  # the output, then the input gradient
             assert_same_bytes(g, w)
+
+    @staticmethod
+    def _targets(rng, shape, soft):
+        if soft:
+            t = rng.random(shape)
+            return t / t.sum(axis=-1, keepdims=True)
+        return np.eye(shape[1])[rng.integers(0, shape[1], size=shape[0])]
+
+    def test_cross_entropy_passes_grad_check(self):
+        rng = np.random.default_rng(5)
+        t = self._targets(rng, (6, 4), soft=True)
+        assert ad.grad_check(lambda z: ad.cross_entropy(z, t), rng.normal(size=(6, 4))) <= 1e-6
+        assert ad.grad_check(lambda z: ad.cross_entropy(ad.transpose(z), t.T),
+                             rng.normal(size=(6, 4))) <= 1e-6
 
     @pytest.mark.parametrize("shape,view", [
         ((7, 96), lambda t: t),
@@ -458,7 +477,7 @@ class TestSweep:
         w = tape.leaf(rng.normal(size=(4, 3)))
         b = tape.leaf(rng.normal(size=(3,)))
         x = ad.constant(rng.normal(size=(5, 4)))
-        loss = ad.tsum(ad.log_softmax_rows(ad.gelu(ad.linear(x, w, b)) * 0.5))
+        loss = ad.cross_entropy(ad.gelu(ad.linear(x, w, b)) * 0.5, np.full((5, 3), 1.0 / 3.0))
         return tape, w, loss
 
     def test_swept_tape_is_freed_with_the_cycle_collector_off(self):
@@ -549,9 +568,9 @@ class TestGradCheck:
     def test_composite_ops_pass(self):
         rng = np.random.default_rng(17)
         w = ad.constant(rng.normal(size=(4, 5)))
-        t = ad.constant(rng.normal(size=(3, 5)))
+        t = rng.normal(size=(3, 5))
 
         def f(x):
-            return ad.tmean(ad.mul(ad.log_softmax_rows(ad.matmul(x, w)), t))
+            return ad.cross_entropy(ad.gelu(ad.matmul(x, w)), t) * 0.5
 
         assert ad.grad_check(f, rng.normal(size=(3, 4))) <= 1e-6

@@ -3,6 +3,7 @@
 import configparser
 import csv
 import math
+import os
 import re
 import struct
 import xml.etree.ElementTree as ET
@@ -314,6 +315,14 @@ class TestTrainPipeline:
         assert main(["train", "--config", str(config), "--jobs", "2"]) == 0
         assert (study_dir / "run" / "fold1_final.gdml").read_bytes() == sequential
 
+    def test_fold_pool_workers_start_with_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        with cli._fold_pool(2) as pool:
+            assert list(pool.map(os.getenv, names, timeout=60)) == ["1", "1"]
+        assert [os.environ.get(name) for name in names] == ["2", None]
+
     def test_effective_config_retrains_bit_identically(self, study_dir):
         config = study_dir / "run.ini"
         config.write_text(RUN_CONFIG)
@@ -425,9 +434,14 @@ class TestEvalFixtures:
         ]) == 3
 
 
+def assert_one_error(code, err, want):
+    assert code == want
+    category = {2: "config", 3: "data"}[want]
+    assert err.startswith(f"error: {category}: ") and err.count("\n") == 1, err
+
+
 def assert_one_data_error(code, err):
-    assert code == 3
-    assert err.startswith("error: data: ") and err.count("\n") == 1, err
+    assert_one_error(code, err, 3)
 
 
 def container_layout(blob):
@@ -625,6 +639,75 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert_one_data_error(code, err)
         assert file in err
+
+
+class TestTextInputs:
+    """Every text input that cannot be read or is not UTF-8 ends in one error
+    line: study files exit 3, the run config and the synth spec exit 2."""
+
+    @pytest.mark.parametrize("fault", ["non_utf8", "missing"])
+    @pytest.mark.parametrize("name,want", [
+        ("manifest", 3), ("genes", 3), ("columns", 3), ("coords", 3), ("render_genes", 3),
+        ("run_config", 2), ("synth_spec", 2),
+    ])
+    def test_unreadable_text_input(self, study_dir, capsys, name, want, fault):
+        study = study_dir / "study"
+        (study_dir / "run.ini").write_text(RUN_CONFIG)
+        batches = data_io.load_study(study / "manifest.ini")
+        fixture = study_dir / "p.gdml"
+        data_io.write_container(fixture, {"pred:S00": batches[0].expression,
+                                          "coords:S00": batches[0].coords})
+        data_io.write_gene_list(study_dir / "genes.txt", [f"gene_{i:04d}" for i in range(10)])
+        path = {
+            "manifest": study / "manifest.ini", "genes": study / "genes.txt",
+            "columns": study / "columns.txt", "coords": study / "S01_coords.tsv",
+            "render_genes": study_dir / "genes.txt", "run_config": study_dir / "run.ini",
+            "synth_spec": study_dir / "synth.ini",
+        }[name]
+        if fault == "missing":
+            path.unlink()
+        elif name == "coords":  # spot ids are free text: only the decoding can fail
+            path.write_bytes(path.read_bytes().replace(b"_spot0001", b"_spot\xff001"))
+        else:  # a comment line: only the decoding can fail
+            path.write_bytes(path.read_bytes() + b"# \xff\n")
+        if name == "render_genes":
+            code = main(["render", "--predictions", str(fixture), "--gene", "gene_0000",
+                         "--genes", str(path), "--out", str(study_dir / "x.svg")])
+        elif name == "synth_spec":
+            code = main(["simulate", "--spec", str(path), "--out", str(study_dir / "again")])
+        elif name == "run_config":
+            code = main(["train", "--config", str(path)])
+        else:
+            code = run_on_study("predict", study_dir)
+        assert_one_error(code, capsys.readouterr().err, want)
+
+
+class TestNonFinitePredictions:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_eval_exits_3(self, study_dir, capsys, value):
+        manifest = study_dir / "study" / "manifest.ini"
+        entries = {f"pred:{b.sample_id}": b.expression for b in data_io.load_study(manifest)}
+        entries["pred:S01"] = entries["pred:S01"].copy()
+        entries["pred:S01"].flat[7] = value  # one entry of one sample
+        fixture = study_dir / "bad.gdml"
+        data_io.write_container(fixture, entries)
+        code = main(["eval", "--predictions", str(fixture),
+                     "--manifest", str(manifest), "--out", str(study_dir / "e")])
+        assert_one_data_error(code, capsys.readouterr().err)
+        assert not (study_dir / "e" / "report.csv").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_render_exits_3(self, tmp_path, capsys, value):
+        fixture = tmp_path / "p.gdml"
+        data_io.write_container(fixture, {
+            "pred:T": np.full((2, 1), value),
+            "coords:T": np.array([[0, 0], [0, 1]], dtype=np.int32),
+        })
+        data_io.write_gene_list(tmp_path / "genes.txt", ["g0"])
+        out = tmp_path / "x.svg"
+        code = main(["render", "--predictions", str(fixture), "--gene", "g0", "--out", str(out)])
+        assert_one_data_error(code, capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestRenderFixture:
