@@ -141,17 +141,11 @@ class DiffTensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def item(self) -> float:
         if self.data.size != 1:

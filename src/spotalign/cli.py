@@ -39,7 +39,7 @@ _INI_NAMES = {
 }
 
 # TrainConfig fields read from [loss]; the rest of TrainConfig is [train].
-_LOSS_FIELDS = ("tau", "tau_ig", "lam", "k", "target_mode")
+_LOSS_FIELDS = ("tau", "tau_ig", "lam", "k")
 
 _CASTS = {"int": int, "float": float, "str": str}
 

@@ -36,7 +36,13 @@ class GroupState:
 
 
 def group_project(p: dict[str, DiffTensor], e_ins, modality: str) -> DiffTensor:
-    """Affine map of instance embeddings into the grouping space."""
+    """Affine map of instance embeddings into the grouping space.
+
+    Its weights are drawn at init and never receive a gradient, because
+    ``trainer._centroids`` applies it only to constants.  The k-means
+    centroids therefore live in a fixed random projection of the embeddings;
+    the cross-level loss scores the unprojected embeddings against them with
+    hard (one-hot) targets only."""
     if modality not in ("image", "gene"):
         raise ContractError(f"modality must be 'image' or 'gene', got {modality!r}")
     x = ad.as_tensor(e_ins)

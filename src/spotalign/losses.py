@@ -83,17 +83,12 @@ def cross_level_loss(
     image_assign: np.ndarray,
     gene_assign: np.ndarray,
     tau_ig: float,
-    target_mode: str = "hard",
-    soft_targets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DiffTensor:
     """Instance-group discrimination against opposite-modality centroids.
 
     Image instances score against gene centroids and vice versa, at
-    temperature ``tau_ig``.  ``hard`` targets are one-hot at the
-    nearest-centroid assignment; ``soft`` targets are the detached row
-    softmax of the same logits, or the injected ``soft_targets`` pair when a
-    caller (e.g. a gradient check) needs them held fixed.  Centroids are
-    constants.
+    temperature ``tau_ig``.  Targets are one-hot at each instance's
+    nearest-centroid assignment.  Centroids are constants.
     """
     k = gene_centroids.shape[0]
     if image_centroids.shape[0] != k:
@@ -107,17 +102,8 @@ def cross_level_loss(
     n = i_ins.shape[0]
     logits_img = ad.matmul(i_ins, ad.constant(gene_centroids.T)) * (1.0 / tau_ig)
     logits_gene = ad.matmul(g_ins, ad.constant(image_centroids.T)) * (1.0 / tau_ig)
-    if target_mode == "hard":
-        t_img = _one_hot(np.asarray(image_assign), k)
-        t_gene = _one_hot(np.asarray(gene_assign), k)
-    elif target_mode == "soft":
-        if soft_targets is not None:
-            t_img, t_gene = soft_targets
-        else:
-            t_img = ad.softmax_rows(logits_img.data.copy())
-            t_gene = ad.softmax_rows(logits_gene.data.copy())
-    else:
-        raise ContractError(f"target_mode must be 'hard' or 'soft', got {target_mode!r}")
+    t_img = _one_hot(np.asarray(image_assign), k)
+    t_gene = _one_hot(np.asarray(gene_assign), k)
     return (ad.cross_entropy(logits_img, t_img) + ad.cross_entropy(logits_gene, t_gene)) * (1.0 / n)
 
 

@@ -35,7 +35,6 @@ from .errors import ContractError, DataError, ShapeError, check_fields
 
 SCALES = ("local", "neighbor", "global")
 
-_FUSION_MODES = ("mean", "concat")
 _SPOT_BLOCK = 64  # spots per neighbor-encoder pass when nothing is taped
 
 
@@ -51,7 +50,6 @@ class ModelConfig:
     d_ff: int = 0  # 0 means 4 * d
     dropout: float = 0.1
     neighbor_tokens: int = 25
-    fusion_mode: str = "mean"
 
     def __post_init__(self):
         check_fields(self, (("d_in", 1), ("d", 1), ("heads", 1), ("neighbor_tokens", 1),
@@ -61,8 +59,6 @@ class ModelConfig:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d % self.heads != 0:
             raise ContractError(f"d={self.d} must be divisible by heads={self.heads}")
-        if self.fusion_mode not in _FUSION_MODES:
-            raise ContractError(f"fusion_mode must be one of {_FUSION_MODES}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d
 
@@ -110,9 +106,6 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     for group in ("neighbor", "global", "fusion"):
         for i in range(getattr(cfg, f"{group}_blocks")):
             shapes.update(_block_shapes(f"{group}/block{i}", cfg.d, cfg.d_ff))
-    if cfg.fusion_mode == "concat":
-        shapes["fusion/out/w"] = (3 * cfg.d, cfg.d)
-        shapes["fusion/out/b"] = (cfg.d,)
     shapes["gene/enc/w1"] = (cfg.n_genes, cfg.d)
     shapes["gene/enc/b1"] = (cfg.d,)
     shapes["gene/enc/w2"] = (cfg.d, cfg.d)
@@ -257,8 +250,8 @@ def scale_fusion(
 ) -> tuple[tuple[DiffTensor, DiffTensor, DiffTensor], DiffTensor]:
     """Attend over the 3-token scale sequence of each spot.
 
-    Returns the three refined per-scale embeddings and the fused embedding
-    (token mean by default; concatenation + linear when configured).
+    Returns the three refined per-scale embeddings and the fused embedding,
+    their token mean.
     """
     if not (i_local.shape == i_neighbor.shape == i_global.shape):
         raise ShapeError(
@@ -270,10 +263,7 @@ def scale_fusion(
         x = attention_block(x, p, f"fusion/block{i}", cfg.heads, cfg.dropout, rng, training)
 
     tokens = [ad.take(x, s, axis=1) for s in range(3)]
-    if cfg.fusion_mode == "mean":
-        fused = (tokens[0] + tokens[1] + tokens[2]) * (1.0 / 3.0)
-    else:
-        fused = ad.linear(ad.concat(tokens, axis=-1), p["fusion/out/w"], p["fusion/out/b"])
+    fused = (tokens[0] + tokens[1] + tokens[2]) * (1.0 / 3.0)
     return (tokens[0], tokens[1], tokens[2]), fused
 
 
@@ -338,17 +328,12 @@ def forward_image(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_CONFIG_STR_FIELDS = {"fusion_mode": _FUSION_MODES}
-
 
 def save_checkpoint(path, params: dict[str, np.ndarray], cfg: ModelConfig) -> None:
     """Write every parameter plus a config echo to a tensor container."""
     entries: dict[str, np.ndarray] = {}
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name in _CONFIG_STR_FIELDS:
-            value = _CONFIG_STR_FIELDS[f.name].index(value)
-        entries[f"config:{f.name}"] = np.array([float(value)])
+        entries[f"config:{f.name}"] = np.array([float(getattr(cfg, f.name))])
     for name, arr in params.items():
         entries[f"param:{name}"] = arr
     data_io.write_container(path, entries)
@@ -364,11 +349,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
         if entry is None or entry.shape != (1,) or not np.isfinite(entry[0]):
             raise DataError(f"checkpoint {path}: config entry {f.name!r} is not one finite number")
         raw = float(entry[0])
-        choices = _CONFIG_STR_FIELDS.get(f.name, ())
         value = raw if f.type == "float" else int(raw)
-        if value != raw or choices and not 0 <= value < len(choices):
+        if value != raw:
             raise DataError(f"checkpoint {path}: config entry {f.name!r} has bad value {raw!r}")
-        kwargs[f.name] = choices[value] if choices else value
+        kwargs[f.name] = value
     try:
         cfg = ModelConfig(**kwargs)
     except ContractError as exc:

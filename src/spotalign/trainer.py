@@ -35,24 +35,19 @@ class TrainConfig:
     lam: float = 0.8
     tau: float = 0.07
     tau_ig: float = 0.07
-    target_mode: str = "hard"
     multi_ins_weight: float = 1.0
     n_folds: int = 2
     cluster_refresh: str = "batch"  # "batch" or "epoch"
     kmeans_n_init: int = 10
-    kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-6
 
     def __post_init__(self):
         check_fields(self, (("decay_every", 1), ("batch_size", 1), ("epochs", 1), ("k", 1),
-                            ("kmeans_n_init", 1), ("kmeans_max_iter", 1), ("seed", 0),
-                            ("lam", 0), ("multi_ins_weight", 0), ("kmeans_tol", 0)))
+                            ("kmeans_n_init", 1), ("seed", 0), ("lam", 0),
+                            ("multi_ins_weight", 0)))
         if self.lr <= 0 or self.decay <= 0:
             raise ContractError("lr and decay must be positive")
         if self.tau <= 0 or self.tau_ig <= 0:
             raise ContractError("temperatures must be positive")
-        if self.target_mode not in ("hard", "soft"):
-            raise ContractError(f"target_mode must be 'hard' or 'soft', got {self.target_mode!r}")
         if self.cluster_refresh not in ("batch", "epoch"):
             raise ContractError("cluster_refresh must be 'batch' or 'epoch'")
 
@@ -271,8 +266,7 @@ def train_fold(
                     img_assign = grouping.assign_cross(emb.fused.data, c_gene)
                     gene_assign = grouping.assign_cross(emb.gene.data, c_img)
                     cross = losses.cross_level_loss(
-                        emb.fused, emb.gene, c_gene, c_img,
-                        img_assign, gene_assign, cfg.tau_ig, cfg.target_mode,
+                        emb.fused, emb.gene, c_gene, c_img, img_assign, gene_assign, cfg.tau_ig
                     )
 
             total, breakdown = losses.total_loss(
@@ -324,8 +318,7 @@ def _centroids(params, embeddings, cfg: TrainConfig, seeds) -> tuple[np.ndarray,
     per_modality = zip(*[(e.fused.data, e.gene.data) for e in embeddings])
     for modality, feats, seed in zip(("image", "gene"), per_modality, seeds):
         e_clu = np.concatenate([grouping.group_project(const_pt, x, modality).data for x in feats])
-        centroids.append(grouping.kmeans(e_clu, cfg.k, seed, max_iter=cfg.kmeans_max_iter,
-                                         tol=cfg.kmeans_tol, n_init=cfg.kmeans_n_init).centroids)
+        centroids.append(grouping.kmeans(e_clu, cfg.k, seed, n_init=cfg.kmeans_n_init).centroids)
     return centroids[0], centroids[1]
 
 

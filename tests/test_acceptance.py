@@ -99,7 +99,7 @@ def test_gradient_suite():
         worst = max(worst, ad.grad_check(multi_loss_wrt_scale, scales[0]))
         worst = max(worst, ad.grad_check(multi_loss_wrt_gene, gene))
 
-        # cross-level loss, both target modes; temperature-scaled embeddings
+        # cross-level loss; temperature-scaled embeddings
         # keep the logits in the finite-difference oracle's resolvable range
         i_ins = tau * rng.normal(size=(n, d))
         g_ins = tau * rng.normal(size=(n, d))
@@ -110,26 +110,10 @@ def test_gradient_suite():
 
         def cross_hard(x, g_ins=g_ins, c_gene=c_gene, c_img=c_img, ia=ia, ga=ga):
             return losses.cross_level_loss(
-                x, ad.constant(g_ins), c_gene, c_img, ia, ga, tau, "hard"
+                x, ad.constant(g_ins), c_gene, c_img, ia, ga, tau
             )
 
         worst = max(worst, ad.grad_check(cross_hard, i_ins))
-
-        # soft targets frozen from a point away from i_ins, where the
-        # gradient is nonzero and the relative-error metric is meaningful
-        ref = tau * rng.normal(size=(n, d))
-        soft_targets = (
-            np.exp(ref @ c_gene.T / tau - (ref @ c_gene.T / tau).max(1, keepdims=True)),
-            np.exp(g_ins @ c_img.T / tau - (g_ins @ c_img.T / tau).max(1, keepdims=True)),
-        )
-        soft_targets = tuple(t / t.sum(axis=1, keepdims=True) for t in soft_targets)
-
-        def cross_soft(x, g_ins=g_ins, c_gene=c_gene, c_img=c_img, ia=ia, ga=ga, st=soft_targets):
-            return losses.cross_level_loss(
-                x, ad.constant(g_ins), c_gene, c_img, ia, ga, tau, "soft", soft_targets=st
-            )
-
-        worst = max(worst, ad.grad_check(cross_soft, i_ins))
 
         # prediction loss
         target = rng.normal(size=(n, d)) ** 2
@@ -153,7 +137,7 @@ def test_gradient_suite():
             ia2 = grouping.assign_cross(fused_scaled.data, c_gene)
             ga2 = grouping.assign_cross(tau * gene, c_img)
             cross = losses.cross_level_loss(
-                fused_scaled, ad.constant(tau * gene), c_gene, c_img, ia2, ga2, tau, "hard"
+                fused_scaled, ad.constant(tau * gene), c_gene, c_img, ia2, ga2, tau
             )
             pred = losses.prediction_loss(ad.matmul(fused, ad.constant(w_pred)), target)
             loss, _ = losses.total_loss(multi, cross, pred, lam=0.8)
@@ -192,7 +176,7 @@ def test_loss_identities():
         c = np.random.default_rng(0).normal(size=(k, 4))
         cl = losses.cross_level_loss(
             ad.constant(np.zeros((3, 4))), ad.constant(np.zeros((3, 4))), c, c,
-            np.zeros(3, dtype=int), np.zeros(3, dtype=int), tau, "hard",
+            np.zeros(3, dtype=int), np.zeros(3, dtype=int), tau,
         )
         if abs(cl.item() - 2.0 * math.log(k)) > IDENTITY_TOL:
             failures.append(f"group-loss uniform k={k}: {cl.item()}")
@@ -212,11 +196,11 @@ def test_loss_identities():
     c_gene, c_img = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
     ia, ga = np.array([0, 1, 2, 0]), np.array([2, 1, 0, 1])
     base_cl = losses.cross_level_loss(
-        ad.constant(scales[0]), ad.constant(gene), c_gene, c_img, ia, ga, tau, "hard"
+        ad.constant(scales[0]), ad.constant(gene), c_gene, c_img, ia, ga, tau
     )
     shift_cl = losses.cross_level_loss(
         ad.constant(aug(scales[0], 1.0)), ad.constant(aug(gene, 1.0)),
-        aug(c_gene, 1.3), aug(c_img, 0.9), ia, ga, tau, "hard",
+        aug(c_gene, 1.3), aug(c_img, 0.9), ia, ga, tau,
     )
     if abs(base_cl.item() - shift_cl.item()) > IDENTITY_TOL:
         failures.append("group-loss shift invariance")
@@ -232,7 +216,7 @@ def test_loss_identities():
     c_loss = losses.cross_level_loss(
         ad.constant(aligned), ad.constant(aligned),
         math.sqrt(margin) * np.eye(4), math.sqrt(margin) * np.eye(4),
-        np.arange(4), np.arange(4), tau, "hard",
+        np.arange(4), np.arange(4), tau,
     )
     if c_loss.item() >= 1e-6:
         failures.append(f"group-loss perfect alignment: {c_loss.item()}")

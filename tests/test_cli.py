@@ -117,7 +117,7 @@ ALIASES = {
     "batch_size": "batch",
     "n_folds": "folds",
 }
-LOSS_FIELDS = ("tau", "tau_ig", "lam", "k", "target_mode")
+LOSS_FIELDS = ("tau", "tau_ig", "lam", "k")
 
 # A valid value for every settable field, each different from its default.
 SYNTH_VALUES = dict(
@@ -126,12 +126,12 @@ SYNTH_VALUES = dict(
 )
 MODEL_VALUES = dict(
     d_in=9, d=12, heads=3, neighbor_blocks=1, global_blocks=2, fusion_blocks=2, d_ff=20,
-    dropout=0.2, neighbor_tokens=9, fusion_mode="concat",
+    dropout=0.2, neighbor_tokens=9,
 )
 TRAIN_VALUES = dict(
     lr=0.01, decay=0.5, decay_every=3, batch_size=16, epochs=2, seed=8, k=3, lam=0.3,
-    tau=0.2, tau_ig=0.3, target_mode="soft", multi_ins_weight=0.5, n_folds=3,
-    cluster_refresh="epoch", kmeans_n_init=2, kmeans_max_iter=7, kmeans_tol=0.001,
+    tau=0.2, tau_ig=0.3, multi_ins_weight=0.5, n_folds=3, cluster_refresh="epoch",
+    kmeans_n_init=2,
 )
 
 
@@ -187,6 +187,10 @@ class TestConfigSchema:
             ("train", "lambda = 0.5"),
             ("train", "batch_size = 10"),
             ("out", "bananas = 1"),
+            ("loss", "target_mode = hard"),
+            ("model", "fusion_mode = mean"),
+            ("train", "kmeans_max_iter = 100"),
+            ("train", "kmeans_tol = 1e-6"),
         ],
     )
     def test_unknown_run_key_exits_2(self, tmp_path, capsys, section, line):
@@ -194,7 +198,8 @@ class TestConfigSchema:
         config.write_text(RUN_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
         assert main(["train", "--config", str(config)]) == 2
         key = line.split(" =")[0]
-        assert f"error: config: unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: config: unknown key {key!r} in section [{section}]\n", err
 
     @pytest.mark.parametrize("cls,name", [
         (cls, f.name) for cls in (ModelConfig, TrainConfig, SynthSpec) for f in fields(cls)
@@ -332,7 +337,7 @@ class TestTrainPipeline:
         echoed = configparser.ConfigParser(interpolation=None)
         echoed.optionxform = str
         echoed.read(run / "effective_config.ini")
-        assert "kmeans_tol" in echoed["train"] and "n_genes" not in echoed["model"]
+        assert "cluster_refresh" in echoed["train"] and "n_genes" not in echoed["model"]
         echoed["out"]["dir"] = "again"
         rerun = study_dir / "rerun.ini"
         with open(rerun, "w") as f:
@@ -367,8 +372,7 @@ class TestTrainPipeline:
 
     @pytest.mark.parametrize("key,value", [
         ("lambda", "nan"), ("multi_ins_weight", "nan"), ("decay", "nan"), ("tau_ig", "inf"),
-        ("kmeans_tol", "nan"), ("kmeans_tol", "-1"), ("kmeans_n_init", "0"),
-        ("kmeans_n_init", "-2"), ("kmeans_max_iter", "-1"), ("lr", "nan"), ("tau", "nan"),
+        ("kmeans_n_init", "0"), ("kmeans_n_init", "-2"), ("lr", "nan"), ("tau", "nan"),
         ("seed", "-1"),
     ])
     def test_impossible_train_value_exits_2(self, study_dir, capsys, key, value):
@@ -385,10 +389,10 @@ class TestTrainPipeline:
 
     def test_unknown_train_key_exits_2(self, study_dir, capsys):
         config = study_dir / "run.ini"
-        config.write_text(RUN_CONFIG + "\n[train]\nwarp_speed = 9\n")
+        config.write_text(RUN_CONFIG.replace("[train]\n", "[train]\nwarp_speed = 9\n"))
         code = main(["train", "--config", str(config)])
         assert code == 2
-        assert "error: config" in capsys.readouterr().err
+        assert "unknown key 'warp_speed'" in capsys.readouterr().err
 
     def test_missing_manifest_exits_3(self, study_dir, capsys):
         config = study_dir / "run.ini"
@@ -517,7 +521,7 @@ class TestMalformedInputs:
     def test_corrupted_checkpoint_bytes_load_or_raise_data_error(self, tmp_path):
         # every header byte and every config payload byte of a small
         # checkpoint, set to 0x00, 0xff, 0x7f and to itself with bit 0 flipped;
-        # no attention blocks, so 31 entries, and block counts read 0.0, which
+        # no attention blocks, so 30 entries, and block counts read 0.0, which
         # corrupts to counts as large as 5e303.  Then every payload byte of two
         # small parameter entries with bit 0 flipped.
         cfg = ModelConfig(n_genes=2, d_in=2, d=2, heads=1, neighbor_blocks=0, global_blocks=0,
@@ -552,7 +556,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("fault", [
         "dims_product_wraps", "zero_size_dims_overflow", "rank_above_64", "inf_value",
-        "nan_value", "fractional_size", "empty_entry", "fusion_mode_index", "heads_zero",
+        "nan_value", "fractional_size", "empty_entry", "concat_fusion_parameter", "heads_zero",
         "heads_negative", "heads_do_not_divide_d", "nan_parameter", "neighbor_blocks_negative",
         "global_blocks_negative", "fusion_blocks_negative", "dropout_above_one",
         "neighbor_tokens_zero", "d_ff_negative", "d_in_zero",
@@ -573,7 +577,7 @@ class TestMalformedInputs:
                 "nan_value": ("config:heads", [np.nan]),
                 "fractional_size": ("config:d", [8.5]),
                 "empty_entry": ("config:heads", []),
-                "fusion_mode_index": ("config:fusion_mode", [2.0]),
+                "concat_fusion_parameter": ("param:fusion/out/b", [0.0] * 8),
                 "heads_zero": ("config:heads", [0.0]),
                 "heads_negative": ("config:heads", [-1.0]),
                 "heads_do_not_divide_d": ("config:heads", [3.0]),

@@ -156,7 +156,7 @@ class TestCrossLevelLoss:
         centroids = np.eye(2)
         loss = losses.cross_level_loss(
             i_ins, g_ins, centroids, centroids,
-            np.array([0]), np.array([0]), tau, "hard",
+            np.array([0]), np.array([0]), tau,
         )
         per_direction = math.log1p(math.exp(-20.0))
         assert per_direction == pytest.approx(2.0611536181902037e-09, rel=1e-6)
@@ -169,27 +169,9 @@ class TestCrossLevelLoss:
         centroids = np.random.default_rng(0).normal(size=(k, 4))
         loss = losses.cross_level_loss(
             i_ins, g_ins, centroids, centroids,
-            np.zeros(3, dtype=int), np.zeros(3, dtype=int), 0.07, "hard",
+            np.zeros(3, dtype=int), np.zeros(3, dtype=int), 0.07,
         )
         assert loss.item() == pytest.approx(2.0 * math.log(k), abs=1e-10)
-
-    def test_soft_mode_equals_mean_row_entropy(self):
-        rng = np.random.default_rng(7)
-        i_ins = rng.normal(size=(5, 4))
-        g_ins = rng.normal(size=(5, 4))
-        c_gene = rng.normal(size=(3, 4))
-        c_img = rng.normal(size=(3, 4))
-        loss = losses.cross_level_loss(
-            ad.constant(i_ins), ad.constant(g_ins), c_gene, c_img,
-            np.zeros(5, dtype=int), np.zeros(5, dtype=int), 0.07, "soft",
-        )
-
-        def mean_entropy(logits):
-            p = np.exp(np_log_softmax(logits))
-            return -(p * np_log_softmax(logits)).sum(axis=1).mean()
-
-        expected = mean_entropy(i_ins @ c_gene.T / 0.07) + mean_entropy(g_ins @ c_img.T / 0.07)
-        assert loss.item() == pytest.approx(expected, rel=1e-10)
 
     def test_hard_mode_vanishes_at_large_margin(self):
         tau = 0.07
@@ -199,7 +181,7 @@ class TestCrossLevelLoss:
         centroids = math.sqrt(margin) * np.eye(3)
         loss = losses.cross_level_loss(
             i_ins, g_ins, centroids, centroids,
-            np.arange(3), np.arange(3), tau, "hard",
+            np.arange(3), np.arange(3), tau,
         )
         assert loss.item() < 1e-6
 
@@ -219,17 +201,16 @@ class TestCrossLevelLoss:
         c_img = rng.normal(size=(3, 5))
         ia, ga = np.array([0, 1, 2, 0]), np.array([1, 0, 2, 2])
         aug_rows = lambda m, v: np.concatenate([m, np.full((m.shape[0], 1), v)], axis=1)
-        for mode in ("hard", "soft"):
-            base = losses.cross_level_loss(
-                ad.constant(i_ins), ad.constant(g_ins), c_gene, c_img, ia, ga, 0.07, mode
-            )
-            shifted = losses.cross_level_loss(
-                ad.constant(aug_rows(i_ins, 1.0)), ad.constant(aug_rows(g_ins, 1.0)),
-                aug_rows(c_gene, 0.7), aug_rows(c_img, 0.7), ia, ga, 0.07, mode,
-            )
-            assert base.item() == pytest.approx(shifted.item(), abs=1e-10), mode
+        base = losses.cross_level_loss(
+            ad.constant(i_ins), ad.constant(g_ins), c_gene, c_img, ia, ga, 0.07
+        )
+        shifted = losses.cross_level_loss(
+            ad.constant(aug_rows(i_ins, 1.0)), ad.constant(aug_rows(g_ins, 1.0)),
+            aug_rows(c_gene, 0.7), aug_rows(c_img, 0.7), ia, ga, 0.07,
+        )
+        assert base.item() == pytest.approx(shifted.item(), abs=1e-10)
 
-    def test_gradients_both_modes(self):
+    def test_gradient_matches_finite_differences(self):
         # embeddings scaled by tau so the temperature-divided logits stay
         # O(1); at exponential saturation the finite-difference oracle's own
         # roundoff floor (~1e-15 / 2h) swamps the tiny true gradients
@@ -243,27 +224,10 @@ class TestCrossLevelLoss:
 
         def f_hard(x):
             return losses.cross_level_loss(
-                x, ad.constant(g_ins), c_gene, c_img, ia, ga, tau, "hard"
+                x, ad.constant(g_ins), c_gene, c_img, ia, ga, tau
             )
 
         assert ad.grad_check(f_hard, x0) <= 1e-4
-
-        # soft targets held constant per the loss's stop-gradient semantics;
-        # frozen from a different point than x0, else the gradient is
-        # identically zero there and relative error is meaningless
-        ref = tau * rng.normal(size=(3, 4))
-        frozen = (
-            np.exp(np_log_softmax(ref @ c_gene.T / tau)),
-            np.exp(np_log_softmax(g_ins @ c_img.T / tau)),
-        )
-
-        def f_soft(x):
-            return losses.cross_level_loss(
-                x, ad.constant(g_ins), c_gene, c_img, ia, ga, tau, "soft",
-                soft_targets=frozen,
-            )
-
-        assert ad.grad_check(f_soft, x0) <= 1e-4
 
 
 class TestPredictionLoss:

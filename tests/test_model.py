@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from spotalign import autodiff as ad
-from spotalign import model
+from spotalign import data_io, model, trainer
 from spotalign.data_io import SpotBatch
 from spotalign.errors import ContractError, ShapeError
 
@@ -261,16 +261,6 @@ class TestScaleFusion:
             np.testing.assert_allclose(tokens[s].data[0], expected[s], atol=1e-12)
         np.testing.assert_allclose(fused.data[0], expected.mean(axis=0), atol=1e-12)
 
-    def test_concat_mode_changes_fused_only(self):
-        cfg = tiny_config(fusion_mode="concat")
-        params = model.init_params(cfg, 19)
-        rng = np.random.default_rng(19)
-        tensors = [ad.constant(rng.normal(size=(4, cfg.d))) for _ in range(3)]
-        tokens, fused = model.scale_fusion(model.as_tensors(params), *tensors, cfg)
-        joined = np.concatenate([t.data for t in tokens], axis=-1)
-        expected = joined @ params["fusion/out/w"] + params["fusion/out/b"]
-        np.testing.assert_allclose(fused.data, expected, rtol=1e-12)
-
 
 class TestGeneEncode:
     def test_zero_input_zero_biases_gives_zero(self):
@@ -379,6 +369,25 @@ class TestModelInvariants:
         assert cfg2 == cfg
         after = model.forward_image(model.as_tensors(loaded), batch, cfg2).data
         assert before.tobytes() == after.tobytes()
+
+    def test_checkpoint_with_fusion_mode_entry_loads_same_bits(self, tmp_path):
+        # checkpoints from before fusion was always the token mean also store
+        # config:fusion_mode, 0.0 for "mean"; the loader ignores the entry
+        cfg = tiny_config()
+        params = model.init_params(cfg, 43)
+        batch = make_batch(cfg, 5, seed=43)
+        path = tmp_path / "model.gdml"
+        model.save_checkpoint(path, params, cfg)
+        entries = data_io.read_container(path)
+        entries["config:fusion_mode"] = np.array([0.0])
+        data_io.write_container(path, entries)
+
+        loaded, cfg2 = model.load_checkpoint(path)
+        assert cfg2 == cfg
+        assert list(loaded) == list(params)
+        assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
+        before = trainer.infer(params, cfg, batch)
+        assert trainer.infer(loaded, cfg2, batch).tobytes() == before.tobytes()
 
     def test_spot_blocks_keep_inference_bits(self, monkeypatch):
         cfg = tiny_config(d_in=16, d=24, heads=4, d_ff=48, neighbor_tokens=25)
