@@ -145,6 +145,10 @@ def kmeans(
         raise ContractError(f"k must be positive, got {k}")
     if n_init < 1:
         raise ContractError(f"n_init must be >= 1, got {n_init}")
+    if max_iter < 1:
+        raise ContractError(f"max_iter must be >= 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ContractError(f"tol must be finite and >= 0, got {tol}")
     if k > n:
         raise ContractError(f"k={k} exceeds the number of points n={n}")
     if not np.all(np.isfinite(points)):

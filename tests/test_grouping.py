@@ -171,6 +171,17 @@ class TestKMeans:
         with pytest.raises(ContractError, match="n_init"):
             grouping.kmeans(points, k=2, seed=0, n_init=n_init)
 
+    @pytest.mark.parametrize(
+        "limit", [dict(max_iter=0), dict(max_iter=-1), dict(tol=float("nan")), dict(tol=-1.0)],
+        ids=["max_iter-0", "max_iter--1", "tol-nan", "tol--1"],
+    )
+    def test_iteration_limit_rejected(self, limit):
+        # max_iter=0 would return the k-means++ seeds unrefined; a NaN or
+        # negative tol would never stop early
+        points = np.random.default_rng(4).normal(size=(10, 3))
+        with pytest.raises(ContractError, match=next(iter(limit))):
+            grouping.kmeans(points, k=2, seed=0, **limit)
+
     def test_inertia_trace_non_increasing(self):
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
