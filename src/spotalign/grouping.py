@@ -23,6 +23,9 @@ from . import autodiff as ad
 from .autodiff import DiffTensor
 from .errors import ContractError
 
+_MAX_ITER = 100  # Lloyd assignment steps per restart
+_SHIFT_TOL = 1e-6  # Lloyd stops once no centroid moves this far
+
 
 @dataclass
 class GroupState:
@@ -92,13 +95,13 @@ def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray):
     return assign, ((points - centroids[assign]) ** 2).sum(axis=-1)
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, tol: float):
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
     centroids = _kmeans_pp_init(points, k, rng)
     sq_norms = (points * points).sum(axis=-1)
     d = points.shape[1]
     n_iter = 0
     trace = []
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         assign, member_dist = _nearest(points, sq_norms, centroids)
         trace.append(float(member_dist.sum()))
         # row-order member sums, as numpy's mean adds them (a lone column pairwise)
@@ -114,7 +117,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, 
             member_dist[far] = -1.0  # a later empty cluster must steal elsewhere
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=-1)).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < _SHIFT_TOL:
             break
     assign, member_dist = _nearest(points, sq_norms, centroids)
     trace.append(float(member_dist.sum()))
@@ -125,8 +128,6 @@ def kmeans(
     e_clu: np.ndarray,
     k: int,
     seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
     normalize: bool = True,
     n_init: int = 10,
 ) -> GroupState:
@@ -145,10 +146,6 @@ def kmeans(
         raise ContractError(f"k must be positive, got {k}")
     if n_init < 1:
         raise ContractError(f"n_init must be >= 1, got {n_init}")
-    if max_iter < 1:
-        raise ContractError(f"max_iter must be >= 1, got {max_iter}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ContractError(f"tol must be finite and >= 0, got {tol}")
     if k > n:
         raise ContractError(f"k={k} exceeds the number of points n={n}")
     if not np.all(np.isfinite(points)):
@@ -159,7 +156,7 @@ def kmeans(
     best = None
     for restart in range(n_init):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-        result = _lloyd(points, k, rng, max_iter, tol)
+        result = _lloyd(points, k, rng)
         if best is None or result[2] < best[2]:
             best = result
     centroids, assign, inertia, n_iter, trace = best

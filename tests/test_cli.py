@@ -191,6 +191,7 @@ class TestConfigSchema:
             ("model", "fusion_mode = mean"),
             ("train", "kmeans_max_iter = 100"),
             ("train", "kmeans_tol = 1e-6"),
+            ("train", "warp_speed = 9"),
         ],
     )
     def test_unknown_run_key_exits_2(self, tmp_path, capsys, section, line):
@@ -387,12 +388,13 @@ class TestTrainPipeline:
         assert field in err, err
         assert not (study_dir / "run").exists()
 
-    def test_unknown_train_key_exits_2(self, study_dir, capsys):
+    def test_duplicate_section_exits_2(self, study_dir, capsys):
         config = study_dir / "run.ini"
-        config.write_text(RUN_CONFIG.replace("[train]\n", "[train]\nwarp_speed = 9\n"))
-        code = main(["train", "--config", str(config)])
-        assert code == 2
-        assert "unknown key 'warp_speed'" in capsys.readouterr().err
+        config.write_text(RUN_CONFIG + "\n[train]\nwarp_speed = 9\n")
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: malformed ") and err.count("\n") == 1, err
+        assert "section 'train' already exists" in err, err
 
     def test_missing_manifest_exits_3(self, study_dir, capsys):
         config = study_dir / "run.ini"
