@@ -66,26 +66,25 @@ _RUN_SECTIONS = {
 }
 
 
-def _section(parser, name, keymap) -> dict:
-    """Typed extraction of one section; unknown keys are hard errors."""
-    if name not in parser:
-        return {}
-    out = {}
-    for key, value in parser[name].items():
-        if key not in keymap:
-            raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        field, cast = keymap[key]
-        try:
-            out[field] = cast(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {name}.{key}: {value!r}") from exc
-    return out
-
-
-def _reject_unknown_sections(parser, allowed) -> None:
-    unknown = set(parser.sections()) - set(allowed)
+def _read_sections(parser, layout: dict[str, dict]) -> dict[str, dict]:
+    """Typed extraction of each section of ``layout`` (empty when absent).
+    Unknown sections or keys are hard errors; one error names every unknown key."""
+    unknown = set(parser.sections()) - set(layout)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    stray = [f"unknown key {key!r} in section [{name}]"
+             for name in parser.sections() for key in parser[name] if key not in layout[name]]
+    if stray:
+        raise ConfigError("; ".join(stray))
+    out: dict[str, dict] = {name: {} for name in layout}
+    for name in parser.sections():
+        for key, value in parser[name].items():
+            field, cast = layout[name][key]
+            try:
+                out[name][field] = cast(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {name}.{key}: {value!r}") from exc
+    return out
 
 
 def _echo_config(path, values: dict[str, dict]) -> None:
@@ -104,10 +103,10 @@ def _echo_config(path, values: dict[str, dict]) -> None:
 
 def _load_synth_spec(path) -> data_io.SynthSpec:
     parser = data_io.read_ini(path, ConfigError)
-    _reject_unknown_sections(parser, {"synth"})
+    synth = _read_sections(parser, {"synth": _SYNTH_SECTION})["synth"]
     if "synth" not in parser:
         raise ConfigError("simulate spec needs a [synth] section")
-    return data_io.SynthSpec(**_section(parser, "synth", _SYNTH_SECTION))
+    return data_io.SynthSpec(**synth)
 
 
 def cmd_simulate(args) -> int:
@@ -121,8 +120,7 @@ def _load_run_config(path):
     """Returns the manifest path, the output directory, and the [model]
     and [loss]+[train] keyword arguments."""
     parser = data_io.read_ini(path, ConfigError)
-    _reject_unknown_sections(parser, _RUN_SECTIONS)
-    sections = {name: _section(parser, name, keymap) for name, keymap in _RUN_SECTIONS.items()}
+    sections = _read_sections(parser, _RUN_SECTIONS)
     if "manifest" not in sections["data"]:
         raise ConfigError("config needs [data] manifest = <path>")
     if "dir" not in sections["out"]:
@@ -193,19 +191,14 @@ def cmd_train(args) -> int:
     else:
         results = dict(map(_train_one_fold, payloads))
 
-    reports = []
     for fold_id in fold_ids:
         result = results[fold_id]
         model.save_checkpoint(out_dir / f"fold{fold_id}_final.gdml", result.params_final, model_cfg)
         (out_dir / f"fold{fold_id}_train.log").write_text(
             "".join(line + "\n" for line in result.log_lines)
         )
-        test_batches = [b for b in batches if b.sample_id in set(plan.folds[fold_id])]
-        if test_batches:
-            reports.append(
-                trainer.evaluate_fold(fold_id, result.params_final, model_cfg, test_batches)
-            )
 
+    reports = [results[f].report for f in fold_ids if results[f].report is not None]
     if reports:
         _write_reports(out_dir, reports)
     return 0

@@ -73,13 +73,10 @@ def per_gene_pcc(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
 def rank_genes(gene_pcc: np.ndarray) -> np.ndarray:
     """Ranks 1..M by descending PCC; undefined genes last; ties by index."""
     m = gene_pcc.shape[0]
-    order = sorted(
-        range(m),
-        key=lambda g: (1 if math.isnan(gene_pcc[g]) else 0, -(gene_pcc[g] if not math.isnan(gene_pcc[g]) else 0.0), g),
-    )
+    undefined = np.isnan(gene_pcc)
+    order = np.lexsort((np.arange(m), -np.where(undefined, 0.0, gene_pcc), undefined))
     ranks = np.empty(m, dtype=np.int64)
-    for position, g in enumerate(order):
-        ranks[g] = position + 1
+    ranks[order] = np.arange(1, m + 1)
     return ranks
 
 
@@ -147,8 +144,7 @@ def select_hpg(fold_reports: list[FoldReport], top: int = 50) -> list[int]:
     if top > m:
         raise ContractError(f"top={top} exceeds gene count {m}")
     mean_rank = np.mean([r.gene_rank for r in fold_reports], axis=0)
-    order = sorted(range(m), key=lambda g: (mean_rank[g], g))
-    return order[:top]
+    return np.argsort(mean_rank, kind="stable")[:top].tolist()
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Optimization loop: Adam with step-decay, per-slide batching, per-batch
-centroid refresh, patient-grouped cross-validation, and deterministic
-seeding throughout.
+"""Optimization loop: Adam with step-decay, per-slide batching, centroid
+refresh per batch or per epoch, patient-grouped cross-validation that scores
+each fold's final parameters once, and deterministic seeding throughout.
 
 Every random stream (init, shuffling, dropout, clustering) is derived from
 the config seed plus structural indices, so a full training run is a pure
@@ -155,6 +155,7 @@ class TrainResult:
     params_final: dict[str, np.ndarray]
     history: list[dict] = field(default_factory=list)
     log_lines: list[str] = field(default_factory=list)
+    report: evaluation.FoldReport | None = None  # None when the fold has no test samples
 
 
 def _derived_rng(*path: int) -> np.random.Generator:
@@ -173,11 +174,12 @@ def train_fold(
     cfg: TrainConfig,
     on_line=None,
 ) -> TrainResult:
-    """Train one fold and return its final parameters.
+    """Train one fold and return its final parameters and their test-fold report.
 
     Per step: forward both modalities, refresh centroids from the batch's
     grouping features (skipped for sub-k batches, which reuse the previous
-    centroids), evaluate the objective, backpropagate, Adam-update.
+    centroids), evaluate the objective, backpropagate, Adam-update.  The test
+    fold is scored once, on the final parameters, so nothing is chosen on it.
     """
     test_ids = set(plan.test_samples(fold_id))
     train_batches = [b for b in batches if b.sample_id not in test_ids]
@@ -207,6 +209,7 @@ def train_fold(
     adam = init_adam(params)
     centroids_prev: tuple[np.ndarray, np.ndarray] | None = None
     history: list[dict] = []
+    report = None
     step = 0
 
     for epoch in range(cfg.epochs):
@@ -286,17 +289,15 @@ def train_fold(
             step += 1
 
         summary = {"epoch": epoch, "lr": lr, "mean_total": epoch_total / max(len(schedule), 1)}
-        if test_batches:  # a test-fold reading per epoch; it selects nothing
+        line = f"epoch={epoch} mean_total={summary['mean_total']:.6f}"
+        if epoch == cfg.epochs - 1 and test_batches:
             report = evaluate_fold(fold_id, params, model_cfg, test_batches)
-            summary["val_pcc_a"] = report.pcc_a
-            summary["val_mse"] = report.mse
+            summary.update(val_pcc_a=report.pcc_a, val_mse=report.mse)
+            line += f" val_pcc_a={report.pcc_a:.6f}"
         history.append(summary)
-        emit(
-            f"epoch={epoch} mean_total={summary['mean_total']:.6f}"
-            + (f" val_pcc_a={summary['val_pcc_a']:.6f}" if "val_pcc_a" in summary else "")
-        )
+        emit(line)
 
-    return TrainResult(params_final=params, history=history, log_lines=log)
+    return TrainResult(params_final=params, history=history, log_lines=log, report=report)
 
 
 def _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch):

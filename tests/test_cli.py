@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spotalign import cli, data_io, model
+from spotalign import cli, data_io, model, trainer
 from spotalign.cli import main
 from spotalign.data_io import SynthSpec
 from spotalign.errors import ContractError, DataError
@@ -177,30 +177,39 @@ class TestConfigSchema:
         assert TrainConfig(**train_kwargs) == TrainConfig(**TRAIN_VALUES)
 
     @pytest.mark.parametrize(
-        "section, line",
+        "edits",
         [
-            ("data", "bananas = 1"),
-            ("model", "n_genes = 10"),
-            ("model", "genes = 10"),
-            ("model", "bananas = 1"),
-            ("loss", "batch = 10"),
-            ("train", "lambda = 0.5"),
-            ("train", "batch_size = 10"),
-            ("out", "bananas = 1"),
-            ("loss", "target_mode = hard"),
-            ("model", "fusion_mode = mean"),
-            ("train", "kmeans_max_iter = 100"),
-            ("train", "kmeans_tol = 1e-6"),
-            ("train", "warp_speed = 9"),
+            [("data", "bananas = 1")],
+            [("model", "n_genes = 10")],
+            [("model", "genes = 10")],
+            [("model", "bananas = 1")],
+            [("loss", "batch = 10")],
+            [("train", "lambda = 0.5")],
+            [("train", "batch_size = 10")],
+            [("out", "bananas = 1")],
+            [("loss", "target_mode = hard")],
+            [("model", "fusion_mode = mean")],
+            [("train", "kmeans_max_iter = 100")],
+            [("train", "kmeans_tol = 1e-6")],
+            [("train", "warp_speed = 9")],
+            # a config echoed before these four fields were deleted
+            [("model", "fusion_mode = mean"), ("loss", "target_mode = hard"),
+             ("train", "kmeans_max_iter = 100"), ("train", "kmeans_tol = 1e-6")],
         ],
+        ids=lambda edits: "-".join(f"{section}-{line}" for section, line in edits),
     )
-    def test_unknown_run_key_exits_2(self, tmp_path, capsys, section, line):
+    def test_unknown_run_key_exits_2(self, tmp_path, capsys, edits):
+        text = RUN_CONFIG
+        for section, line in edits:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         config = tmp_path / "run.ini"
-        config.write_text(RUN_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        config.write_text(text)
         assert main(["train", "--config", str(config)]) == 2
-        key = line.split(" =")[0]
+        named = [f"unknown key {line.split(' =')[0]!r} in section [{section}]" for section, line in edits]
         err = capsys.readouterr().err
-        assert err == f"error: config: unknown key {key!r} in section [{section}]\n", err
+        # one line naming every unknown key; one key reads exactly as named[0]
+        assert err.startswith("error: config: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert sorted(err[len("error: config: "):-1].split("; ")) == sorted(named), err
 
     @pytest.mark.parametrize("cls,name", [
         (cls, f.name) for cls in (ModelConfig, TrainConfig, SynthSpec) for f in fields(cls)
@@ -259,10 +268,19 @@ class TestConfigParity:
 
 
 class TestTrainPipeline:
-    def test_full_pipeline(self, study_dir):
+    def test_full_pipeline(self, study_dir, monkeypatch):
+        calls = []
+        evaluate_fold = trainer.evaluate_fold
+
+        def counting(*args):
+            calls.append(args[0])
+            return evaluate_fold(*args)
+
+        monkeypatch.setattr(trainer, "evaluate_fold", counting)
         config = study_dir / "run.ini"
         config.write_text(RUN_CONFIG)
         assert main(["train", "--config", str(config)]) == 0
+        assert sorted(calls) == [0, 1]  # each fold's final parameters, scored once
 
         run = study_dir / "run"
         assert (run / "effective_config.ini").exists()

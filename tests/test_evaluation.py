@@ -113,7 +113,45 @@ class TestMseMae:
             evaluation.mse_metric(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def oracle_rank_genes(gene_pcc):
+    """The original key-sort ranking: NaN last, descending PCC, ties by index."""
+    m = gene_pcc.shape[0]
+    order = sorted(
+        range(m),
+        key=lambda g: (1 if math.isnan(gene_pcc[g]) else 0, -(gene_pcc[g] if not math.isnan(gene_pcc[g]) else 0.0), g),
+    )
+    ranks = np.empty(m, dtype=np.int64)
+    for position, g in enumerate(order):
+        ranks[g] = position + 1
+    return ranks
+
+
+def oracle_select_hpg(mean_rank, top):
+    """The original key-sort HPG order: ascending mean rank, ties by index."""
+    return sorted(range(len(mean_rank)), key=lambda g: (mean_rank[g], g))[:top]
+
+
+def tied_pccs(rng, m):
+    """PCCs drawn mostly from a few values, so ties, NaNs and -0.0/0.0 pairs are common."""
+    pool = np.array([np.nan, 0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+    values = rng.choice(pool, size=m)
+    fresh = rng.random(m) < 0.3
+    values[fresh] = rng.uniform(-1, 1, size=int(fresh.sum()))
+    return values
+
+
 class TestRanks:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_key_sort_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        pccs = tied_pccs(rng, int(rng.integers(1, 40)))
+        assert evaluation.rank_genes(pccs).tolist() == oracle_rank_genes(pccs).tolist()
+
+    def test_signed_zero_ties_by_index(self):
+        pccs = np.array([0.0, -0.0, np.nan, -0.0, 0.0])
+        assert evaluation.rank_genes(pccs).tolist() == [1, 2, 5, 3, 4]
+        assert oracle_rank_genes(pccs).tolist() == [1, 2, 5, 3, 4]
+
     def test_rank_order_and_nan_last(self):
         pccs = np.array([0.3, np.nan, 0.9, 0.3])
         ranks = evaluation.rank_genes(pccs)
@@ -143,6 +181,18 @@ def report_with_ranks(fold_id, ranks, pccs=None):
 
 
 class TestSelectHpg:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_key_sort_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 40))
+        reports = [
+            report_with_ranks(f, evaluation.rank_genes(tied_pccs(rng, m)))
+            for f in range(int(rng.integers(1, 5)))
+        ]
+        mean_rank = np.mean([r.gene_rank for r in reports], axis=0)
+        top = int(rng.integers(1, m + 1))
+        assert evaluation.select_hpg(reports, top) == oracle_select_hpg(mean_rank, top)
+
     def test_single_fold_reduces_to_best_pcc_genes(self):
         rng = np.random.default_rng(3)
         pccs = rng.uniform(-1, 1, size=60)

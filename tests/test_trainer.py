@@ -1,5 +1,6 @@
 """Optimizer, schedule, fold-plan, and training-loop tests."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -168,10 +169,45 @@ class TestTrainFold:
             lam=0.0, multi_ins_weight=0.0, n_folds=2,
         )
         plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 1)
-        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
-        first = result.history[0]["val_mse"]
-        last = result.history[-1]["val_mse"]
+        last = trainer.train_fold(0, plan, batches, mcfg, tcfg).history[-1]["val_mse"]
+        # epoch 0 does not depend on the epoch count: a 1-epoch run scores it
+        one_epoch = dataclasses.replace(tcfg, epochs=1)
+        first = trainer.train_fold(0, plan, batches, mcfg, one_epoch).history[-1]["val_mse"]
         assert last < first
+
+    def test_test_fold_scored_once_on_final_params(self, monkeypatch):
+        batches, mcfg = desk_setup()
+        tcfg = trainer.TrainConfig(
+            lr=1e-3, batch_size=30, epochs=3, seed=4, k=4, lam=0.8, n_folds=2,
+            kmeans_n_init=2,
+        )
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 4)
+        calls = []
+        evaluate_fold = trainer.evaluate_fold
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate_fold(*args)
+
+        monkeypatch.setattr(trainer, "evaluate_fold", counting)
+        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        assert len(calls) == 1
+        assert result.report.pcc_a == result.history[-1]["val_pcc_a"]
+        assert result.report.mse == result.history[-1]["val_mse"]
+        test = [b for b in batches if b.sample_id in set(plan.folds[0])]
+        final = evaluate_fold(0, result.params_final, mcfg, test)
+        assert final.per_gene_pcc.tobytes() == result.report.per_gene_pcc.tobytes()
+        epoch_lines = [line for line in result.log_lines if line.startswith("epoch=")]
+        assert [" val_pcc_a=" in line for line in epoch_lines] == [False, False, True]
+        assert ["val_pcc_a" in h for h in result.history] == [False, False, True]
+
+    def test_fold_without_test_samples_has_no_report(self):
+        batches, mcfg = desk_setup()
+        plan = trainer.FoldPlan(folds={0: [], 1: [b.sample_id for b in batches]})
+        tcfg = trainer.TrainConfig(lr=1e-3, batch_size=30, epochs=1, seed=4, k=4, kmeans_n_init=2)
+        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        assert result.report is None
+        assert "val_pcc_a" not in result.history[-1]
 
     def test_patient_straddle_rejected_at_train_time(self):
         batches, mcfg = desk_setup()
