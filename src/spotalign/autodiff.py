@@ -409,15 +409,13 @@ def cross_entropy(logits, targets) -> DiffTensor:
     return _make((z,), (neg_t * shifted).sum(), backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None, training: bool = True) -> DiffTensor:
-    """Inverted dropout; exact identity when not training or rate == 0."""
+def dropout(a, rate: float, rng: np.random.Generator | None) -> DiffTensor:
+    """Inverted dropout; exact identity without an rng or when rate == 0."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     a = as_tensor(a)
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ContractError("dropout in training mode requires an rng")
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     return mul(a, constant(keep))
 

@@ -3,9 +3,11 @@
 Run configs are INI files with [data]/[model]/[loss]/[train]/[out] sections
 and simulate specs have one [synth] section.  A key is the name of a field of
 ``ModelConfig``, ``TrainConfig`` or ``SynthSpec`` (five fields keep a short
-name, see ``_INI_NAMES``); unknown sections or keys are hard errors.  Every
-training run echoes its fully-defaulted config to ``effective_config.ini`` in
-its output directory, and that file is itself a valid run config.
+name, see ``_INI_NAMES``); unknown sections or keys are hard errors; ``n_genes``,
+``d_in`` and ``neighbor_tokens`` come from the study and have no key.  Only
+training passes the model an rng (eval mode has none).  Every training run
+echoes its fully-defaulted config to ``effective_config.ini`` in its output
+directory, and that file is itself a valid run config.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure, 5 I/O
 error.  Errors print one line to stderr: ``error: <category>: <message>``.
@@ -56,10 +58,10 @@ def _keys(cls, keep=lambda name: True) -> dict:
 _SYNTH_SECTION = _keys(data_io.SynthSpec)
 
 # Run-config layout, shared by the reader and the effective-config echo.
-# [model] n_genes comes from the study, so no config sets it.
+_STUDY_SHAPES = ("n_genes", "d_in", "neighbor_tokens")  # [model] fields the study sets
 _RUN_SECTIONS = {
     "data": {"manifest": ("manifest", str)},
-    "model": _keys(model.ModelConfig, lambda name: name != "n_genes"),
+    "model": _keys(model.ModelConfig, lambda name: name not in _STUDY_SHAPES),
     "loss": _keys(trainer.TrainConfig, lambda name: name in _LOSS_FIELDS),
     "train": _keys(trainer.TrainConfig, lambda name: name not in _LOSS_FIELDS),
     "out": {"dir": ("dir", str)},
@@ -159,10 +161,10 @@ def _fold_pool(jobs: int):
 def cmd_train(args) -> int:
     manifest, out_dir, model_kwargs, train_kwargs = _load_run_config(args.config)
     batches = _load_samples(manifest)
-    model_kwargs.setdefault("d_in", batches[0].local_feat.shape[1])
-    model_kwargs.setdefault("neighbor_tokens", batches[0].neighbor_feat.shape[1])
+    first = batches[0]
     try:
-        model_cfg = model.ModelConfig(n_genes=batches[0].n_genes, **model_kwargs)
+        model_cfg = model.ModelConfig(n_genes=first.n_genes, d_in=first.local_feat.shape[1],
+                                      neighbor_tokens=first.neighbor_feat.shape[1], **model_kwargs)
         train_cfg = trainer.TrainConfig(**train_kwargs)
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc

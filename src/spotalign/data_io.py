@@ -216,7 +216,8 @@ def preprocess_expression(
     over ALL columns (before selection), then mapped through log(1 + x).
     Spots whose total count is zero are dropped and counted.
     """
-    missing = [g for g in gene_list if g not in set(column_names)]
+    index = {name: i for i, name in enumerate(column_names)}
+    missing = [g for g in gene_list if g not in index]
     if missing:
         raise DataError(f"genes not present in the count matrix: {missing}")
     raw = np.asarray(raw_counts, dtype=np.float64)
@@ -224,7 +225,6 @@ def preprocess_expression(
         raise ShapeError(
             f"count matrix has shape {raw.shape}, expected N x {len(column_names)}"
         )
-    index = {name: i for i, name in enumerate(column_names)}
     cols = [index[g] for g in gene_list]
     totals = raw.sum(axis=1)
     keep = totals > 0
@@ -274,16 +274,19 @@ def read_coords(path) -> tuple[list[str], np.ndarray]:
     if not lines or lines[0].split("\t") != ["spot_id", "row", "col"]:
         raise DataError(f"{path}: expected header 'spot_id\\trow\\tcol'")
     ids, rows = [], []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         parts = ln.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}: malformed coordinate line {ln!r}")
         try:
-            rows.append((int(parts[1]), int(parts[2])))
+            row = (int(parts[1]), int(parts[2]))
         except ValueError as exc:
             raise DataError(f"{path}: non-integer row or col in {ln!r}") from exc
+        if not all(-(2**31) <= v < 2**31 for v in row):
+            raise DataError(f"{path}: line {lineno}: row or col outside int32 in {ln!r}")
+        rows.append(row)
         ids.append(parts[0])
     return ids, np.array(rows, dtype=np.int32).reshape(len(rows), 2)
 
@@ -461,6 +464,20 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
+def _spot_grid(n_spots: int, neighbor_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (row, col) of the spots on the smallest square grid, and the (grid², N)
+    stencil of neighbor spots: offsets row-major, a cell with no spot is the spot itself."""
+    side = math.ceil(math.sqrt(n_spots))
+    spot = np.arange(n_spots)
+    row, col = np.divmod(spot, side)
+    steps = np.arange(-(neighbor_grid // 2), neighbor_grid // 2 + 1)
+    r = row + np.repeat(steps, steps.size)[:, None]
+    c = col + np.tile(steps, steps.size)[:, None]
+    cell = r * side + c
+    stencil = np.where((r >= 0) & (c >= 0) & (c < side) & (cell < n_spots), cell, spot)
+    return np.stack([row, col], axis=1).astype(np.int32), stencil
+
+
 def synth_generate(spec: SynthSpec) -> SynthStudy:
     """Draw a coupled image-feature / expression study.
 
@@ -477,16 +494,13 @@ def synth_generate(spec: SynthSpec) -> SynthStudy:
         wrng.normal(size=(spec.n_clusters, spec.latent_dim)) if spec.n_clusters else None
     )
 
+    grid, stencil = _spot_grid(spec.n_spots, spec.neighbor_grid)
     side = math.ceil(math.sqrt(spec.n_spots))
-    half = spec.neighbor_grid // 2
-    offsets = [(dr, dc) for dr in range(-half, half + 1) for dc in range(-half, half + 1)]
 
     samples = []
     for slide in range(spec.n_slides):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, slide]))
-        coords = np.array(
-            [(i // side, i % side) for i in range(spec.n_spots)], dtype=np.int32
-        )
+        coords = grid.copy()
         z = rng.normal(size=(spec.n_spots, spec.latent_dim))
         domains = None
         if domain_centers is not None:
@@ -496,18 +510,11 @@ def synth_generate(spec: SynthSpec) -> SynthStudy:
             domains = dist.argmin(axis=1)
             w = spec.cluster_strength
             z = math.sqrt(w) * domain_centers[domains] + math.sqrt(1.0 - w) * z
-        by_coord = {(int(r), int(c)): i for i, (r, c) in enumerate(coords)}
 
         local = z @ w_local + spec.sigma * rng.normal(size=(spec.n_spots, spec.d_in))
 
-        neighbor = np.empty((spec.n_spots, len(offsets), spec.d_in))
-        for t, (dr, dc) in enumerate(offsets):
-            nb_index = np.array(
-                [
-                    by_coord.get((int(r) + dr, int(c) + dc), i)
-                    for i, (r, c) in enumerate(coords)
-                ]
-            )
+        neighbor = np.empty((spec.n_spots, len(stencil), spec.d_in))
+        for t, nb_index in enumerate(stencil):
             mixed = 0.5 * (z + z[nb_index])
             neighbor[:, t, :] = mixed @ w_neighbor + spec.sigma * rng.normal(
                 size=(spec.n_spots, spec.d_in)

@@ -86,7 +86,10 @@ class FoldReport:
     per_gene_pcc: np.ndarray  # length M, NaN where undefined
     mse: float
     mae: float
-    gene_rank: np.ndarray  # length M, 1 = best
+
+    @property
+    def gene_rank(self) -> np.ndarray:  # length M, 1 = best
+        return rank_genes(self.per_gene_pcc)
 
     @property
     def n_genes(self) -> int:
@@ -127,13 +130,7 @@ def build_fold_report(
         )
     mse = float(np.mean([mse_metric(t, p) for t, p in sample_pairs]))
     mae = float(np.mean([mae_metric(t, p) for t, p in sample_pairs]))
-    return FoldReport(
-        fold_id=fold_id,
-        per_gene_pcc=gene,
-        mse=mse,
-        mae=mae,
-        gene_rank=rank_genes(gene),
-    )
+    return FoldReport(fold_id=fold_id, per_gene_pcc=gene, mse=mse, mae=mae)
 
 
 def select_hpg(fold_reports: list[FoldReport], top: int = 50) -> list[int]:

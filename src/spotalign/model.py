@@ -7,7 +7,7 @@ fusion block over the {local, neighbor, global} token triple of each spot.
 Gene pathway: a two-layer encoder followed by a residual feed-forward
 refinement.  Dropout (rate configurable, 0.1 by default) is applied after
 attention output projections, inside feed-forward sublayers, and in the
-gene encoder.
+gene encoder, whenever a pass gets an rng (eval mode passes none).
 
 All blocks are pre-norm residual transformers.  The global block uses no
 positional encoding, so it is permutation-equivariant over spots.  It sees a
@@ -157,7 +157,6 @@ def attention_block(
     heads: int,
     drop: float,
     rng,
-    training: bool,
 ) -> DiffTensor:
     """Pre-norm multi-head self-attention followed by a feed-forward sublayer.
 
@@ -169,11 +168,11 @@ def attention_block(
     v = ad.linear(h, p[f"{prefix}/attn/wv"], p[f"{prefix}/attn/bv"])
     context = ad.attention(q, k, v, heads)
     attn_out = ad.linear(context, p[f"{prefix}/attn/wo"], p[f"{prefix}/attn/bo"])
-    x = x + ad.dropout(attn_out, drop, rng, training)
+    x = x + ad.dropout(attn_out, drop, rng)
 
     h2 = ad.layer_norm(x, p[f"{prefix}/ln2/g"], p[f"{prefix}/ln2/b"])
     f = ad.gelu(ad.linear(h2, p[f"{prefix}/ffn/w1"], p[f"{prefix}/ffn/b1"]))
-    f = ad.dropout(f, drop, rng, training)
+    f = ad.dropout(f, drop, rng)
     f = ad.linear(f, p[f"{prefix}/ffn/w2"], p[f"{prefix}/ffn/b2"])
     return x + f
 
@@ -200,7 +199,6 @@ def neighbor_encode(
     neighbor_feat,
     cfg: ModelConfig,
     rng=None,
-    training: bool = False,
 ) -> DiffTensor:
     """Project the per-spot token grid, attend over it, mean-pool to one token."""
     neighbor_feat = ad.as_tensor(neighbor_feat)
@@ -210,17 +208,17 @@ def neighbor_encode(
             f"got {neighbor_feat.shape}"
         )
     n = neighbor_feat.shape[0]
-    if training or n <= _SPOT_BLOCK or any(t.tape is not None for t in (neighbor_feat, *p.values())):
-        return _pool_neighbors(p, neighbor_feat, cfg, rng, training)
+    if rng is not None or n <= _SPOT_BLOCK or any(t.tape is not None for t in (neighbor_feat, *p.values())):
+        return _pool_neighbors(p, neighbor_feat, cfg, rng)
     # every op here acts per spot, so blocks bound the memory and keep the bits
-    return ad.concat([_pool_neighbors(p, neighbor_feat.data[s : s + _SPOT_BLOCK], cfg, None, False)
+    return ad.concat([_pool_neighbors(p, neighbor_feat.data[s : s + _SPOT_BLOCK], cfg, None)
                       for s in range(0, n, _SPOT_BLOCK)], axis=0)
 
 
-def _pool_neighbors(p, neighbor_feat, cfg, rng, training):
+def _pool_neighbors(p, neighbor_feat, cfg, rng):
     x = project_scale(p, neighbor_feat, "neighbor")  # (N, T, d)
     for i in range(cfg.neighbor_blocks):
-        x = attention_block(x, p, f"neighbor/block{i}", cfg.heads, cfg.dropout, rng, training)
+        x = attention_block(x, p, f"neighbor/block{i}", cfg.heads, cfg.dropout, rng)
     return ad.tmean(x, axis=1)
 
 
@@ -229,13 +227,12 @@ def global_encode(
     local_proj: DiffTensor,
     cfg: ModelConfig,
     rng=None,
-    training: bool = False,
 ) -> DiffTensor:
     """One transformer block attending across all spots of a single slide."""
     n, d = local_proj.shape
     x = ad.reshape(local_proj, (1, n, d))
     for i in range(cfg.global_blocks):
-        x = attention_block(x, p, f"global/block{i}", cfg.heads, cfg.dropout, rng, training)
+        x = attention_block(x, p, f"global/block{i}", cfg.heads, cfg.dropout, rng)
     return ad.reshape(x, (n, d))
 
 
@@ -246,7 +243,6 @@ def scale_fusion(
     i_global: DiffTensor,
     cfg: ModelConfig,
     rng=None,
-    training: bool = False,
 ) -> tuple[tuple[DiffTensor, DiffTensor, DiffTensor], DiffTensor]:
     """Attend over the 3-token scale sequence of each spot.
 
@@ -260,7 +256,7 @@ def scale_fusion(
     n, d = i_local.shape
     x = ad.reshape(ad.concat([i_local, i_neighbor, i_global], axis=-1), (n, 3, d))
     for i in range(cfg.fusion_blocks):
-        x = attention_block(x, p, f"fusion/block{i}", cfg.heads, cfg.dropout, rng, training)
+        x = attention_block(x, p, f"fusion/block{i}", cfg.heads, cfg.dropout, rng)
 
     tokens = [ad.take(x, s, axis=1) for s in range(3)]
     fused = (tokens[0] + tokens[1] + tokens[2]) * (1.0 / 3.0)
@@ -272,18 +268,17 @@ def gene_encode(
     expression,
     cfg: ModelConfig,
     rng=None,
-    training: bool = False,
 ) -> DiffTensor:
     """Two-layer gene encoder followed by a residual feed-forward refinement."""
     expr = ad.as_tensor(expression)
     if expr.shape[-1] != cfg.n_genes:
         raise ShapeError(f"expression has {expr.shape[-1]} genes, model expects {cfg.n_genes}")
     h = ad.linear(expr, p["gene/enc/w1"], p["gene/enc/b1"])
-    h = ad.dropout(ad.gelu(h), cfg.dropout, rng, training)
+    h = ad.dropout(ad.gelu(h), cfg.dropout, rng)
     h = ad.linear(h, p["gene/enc/w2"], p["gene/enc/b2"])
 
     f = ad.gelu(ad.linear(h, p["gene/ffn/w1"], p["gene/ffn/b1"]))
-    f = ad.dropout(f, cfg.dropout, rng, training)
+    f = ad.dropout(f, cfg.dropout, rng)
     f = ad.linear(f, p["gene/ffn/w2"], p["gene/ffn/b2"])
     return h + f
 
@@ -293,13 +288,13 @@ def predict_expression(p: dict[str, DiffTensor], fused: DiffTensor) -> DiffTenso
     return ad.linear(fused, p["pred/w"], p["pred/b"])
 
 
-def _encode_image(p, batch, cfg, rng, training):
+def _encode_image(p, batch, cfg, rng):
     """Local, neighbor and global scales fused: (per-scale, fused)."""
     i_local = project_scale(p, batch.local_feat, "local")
-    i_neighbor = neighbor_encode(p, batch.neighbor_feat, cfg, rng, training)
+    i_neighbor = neighbor_encode(p, batch.neighbor_feat, cfg, rng)
     g_proj = project_scale(p, batch.local_feat, "global")
-    i_global = global_encode(p, g_proj, cfg, rng, training)
-    return scale_fusion(p, i_local, i_neighbor, i_global, cfg, rng, training)
+    i_global = global_encode(p, g_proj, cfg, rng)
+    return scale_fusion(p, i_local, i_neighbor, i_global, cfg, rng)
 
 
 def forward_embeddings(
@@ -307,11 +302,10 @@ def forward_embeddings(
     batch: data_io.SpotBatch,
     cfg: ModelConfig,
     rng=None,
-    training: bool = False,
 ) -> ScaleEmbeddings:
     """Full bimodal forward pass over one single-slide batch."""
-    per_scale, fused = _encode_image(p, batch, cfg, rng, training)
-    gene = gene_encode(p, batch.expression, cfg, rng, training)
+    per_scale, fused = _encode_image(p, batch, cfg, rng)
+    gene = gene_encode(p, batch.expression, cfg, rng)
     return ScaleEmbeddings(per_scale=per_scale, fused=fused, gene=gene)
 
 
@@ -321,7 +315,7 @@ def forward_image(
     cfg: ModelConfig,
 ) -> DiffTensor:
     """Inference pathway: image encoders plus the prediction head, eval mode."""
-    _, fused = _encode_image(p, batch, cfg, None, False)
+    _, fused = _encode_image(p, batch, cfg, None)
     return predict_expression(p, fused)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -79,7 +80,7 @@ def render_hex_svg(coords, values, out_path=None, title: str = "", radius: float
         f'height="{height + (18 if title else 0):.0f}">'
     ]
     if title:
-        parts.append(f'<text x="{margin:.0f}" y="14" font-size="12">{title}</text>')
+        parts.append(f'<text x="{margin:.0f}" y="14" font-size="12">{escape(title)}</text>')
     offset = 18 if title else 0
     for i in range(coords.shape[0]):
         parts.append(

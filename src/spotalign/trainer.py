@@ -241,7 +241,7 @@ def train_fold(
 
             tape = ad.Tape()
             pt = model.as_tensors(params, tape)
-            emb = model.forward_embeddings(pt, sub, model_cfg, step_rng, training=True)
+            emb = model.forward_embeddings(pt, sub, model_cfg, step_rng)
             pred = model.predict_expression(pt, emb.fused)
             pred_loss = losses.prediction_loss(pred, sub.expression)
 

@@ -320,12 +320,7 @@ def test_metric_suite():
     reports = []
     for f in range(4):
         pccs = rng.uniform(-1, 1, size=40)
-        reports.append(
-            evaluation.FoldReport(
-                fold_id=f, per_gene_pcc=pccs, mse=0.1, mae=0.1,
-                gene_rank=evaluation.rank_genes(pccs),
-            )
-        )
+        reports.append(evaluation.FoldReport(fold_id=f, per_gene_pcc=pccs, mse=0.1, mae=0.1))
     for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
         if evaluation.select_hpg([reports[i] for i in perm], 10) != evaluation.select_hpg(reports, 10):
             failures.append(f"fold order {perm}")

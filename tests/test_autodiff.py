@@ -109,17 +109,25 @@ class TestElementwiseOps:
 
     def test_dropout_rate_zero_is_identity(self):
         x = ad.constant(np.arange(6.0).reshape(2, 3))
-        out = ad.dropout(x, 0.0, np.random.default_rng(0), training=True)
+        out = ad.dropout(x, 0.0, np.random.default_rng(0))
         assert out is x
 
     def test_dropout_eval_mode_is_exact_identity(self):
         x = ad.constant(np.arange(6.0).reshape(2, 3))
-        out = ad.dropout(x, 0.5, None, training=False)
+        out = ad.dropout(x, 0.5, None)
         assert out is x
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_dropout_draws_exactly_when_it_drops(self, rate):
+        rng, oracle = np.random.default_rng(9), np.random.default_rng(9)
+        ad.dropout(ad.constant(np.ones((3, 4))), rate, rng)
+        if rate > 0:
+            oracle.random((3, 4))
+        assert rng.random() == oracle.random()
 
     def test_dropout_scales_survivors(self):
         x = ad.constant(np.ones((200, 50)))
-        out = ad.dropout(x, 0.25, np.random.default_rng(5), training=True)
+        out = ad.dropout(x, 0.25, np.random.default_rng(5))
         surviving = out.data[out.data != 0]
         np.testing.assert_allclose(surviving, 1.0 / 0.75)
 
@@ -436,7 +444,7 @@ class TestBackward:
             w = tape.leaf(rng.normal(size=(4, 3)))
             x = ad.constant(rng.normal(size=(2, 4)))
             h = ad.gelu(ad.matmul(x, w))
-            h = ad.dropout(h, 0.3, np.random.default_rng(7), training=True)
+            h = ad.dropout(h, 0.3, np.random.default_rng(7))
             loss = ad.tmean(ad.mul(h, h))
             return tape, tape.backward(loss)[w.node_id]
 

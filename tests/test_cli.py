@@ -125,8 +125,7 @@ SYNTH_VALUES = dict(
     neighbor_grid=3, count_scale=10.0, n_clusters=8, cluster_strength=0.85,
 )
 MODEL_VALUES = dict(
-    d_in=9, d=12, heads=3, neighbor_blocks=1, global_blocks=2, fusion_blocks=2, d_ff=20,
-    dropout=0.2, neighbor_tokens=9,
+    d=12, heads=3, neighbor_blocks=1, global_blocks=2, fusion_blocks=2, d_ff=20, dropout=0.2,
 )
 TRAIN_VALUES = dict(
     lr=0.01, decay=0.5, decay_every=3, batch_size=16, epochs=2, seed=8, k=3, lam=0.3,
@@ -157,8 +156,9 @@ class TestConfigSchema:
         assert batches[0].neighbor_feat.shape[1:] == (9, 9)
 
     def test_every_model_and_train_field_is_settable(self, tmp_path):
-        assert set(MODEL_VALUES) == {f.name for f in fields(ModelConfig)} - {"n_genes"}
-        assert all(MODEL_VALUES[f.name] != f.default for f in fields(ModelConfig) if f.name != "n_genes")
+        study_shapes = {"n_genes", "d_in", "neighbor_tokens"}
+        assert set(MODEL_VALUES) == {f.name for f in fields(ModelConfig)} - study_shapes
+        assert all(MODEL_VALUES[f.name] != f.default for f in fields(ModelConfig) if f.name in MODEL_VALUES)
         assert set(TRAIN_VALUES) == {f.name for f in fields(TrainConfig)}
         assert all(TRAIN_VALUES[f.name] != f.default for f in fields(TrainConfig))
         loss = {k: v for k, v in TRAIN_VALUES.items() if k in LOSS_FIELDS}
@@ -183,6 +183,8 @@ class TestConfigSchema:
             [("model", "n_genes = 10")],
             [("model", "genes = 10")],
             [("model", "bananas = 1")],
+            [("model", "d_in = 12")],
+            [("model", "neighbor_tokens = 25")],
             [("loss", "batch = 10")],
             [("train", "lambda = 0.5")],
             [("train", "batch_size = 10")],
@@ -195,6 +197,8 @@ class TestConfigSchema:
             # a config echoed before these four fields were deleted
             [("model", "fusion_mode = mean"), ("loss", "target_mode = hard"),
              ("train", "kmeans_max_iter = 100"), ("train", "kmeans_tol = 1e-6")],
+            # a config echoed while [model] still listed the study's shapes
+            [("model", "d_in = 12"), ("model", "neighbor_tokens = 25")],
         ],
         ids=lambda edits: "-".join(f"{section}-{line}" for section, line in edits),
     )
@@ -210,6 +214,7 @@ class TestConfigSchema:
         # one line naming every unknown key; one key reads exactly as named[0]
         assert err.startswith("error: config: ") and err.count("\n") == 1 and err.endswith("\n"), err
         assert sorted(err[len("error: config: "):-1].split("; ")) == sorted(named), err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("cls,name", [
         (cls, f.name) for cls in (ModelConfig, TrainConfig, SynthSpec) for f in fields(cls)
@@ -356,7 +361,8 @@ class TestTrainPipeline:
         echoed = configparser.ConfigParser(interpolation=None)
         echoed.optionxform = str
         echoed.read(run / "effective_config.ini")
-        assert "cluster_refresh" in echoed["train"] and "n_genes" not in echoed["model"]
+        assert "cluster_refresh" in echoed["train"]
+        assert not {"n_genes", "d_in", "neighbor_tokens"} & set(echoed["model"])
         echoed["out"]["dir"] = "again"
         rerun = study_dir / "rerun.ini"
         with open(rerun, "w") as f:
@@ -368,6 +374,16 @@ class TestTrainPipeline:
         for name in checkpoints:
             assert (study_dir / "again" / name).read_bytes() == (run / name).read_bytes()
 
+    def test_study_sets_input_shapes(self, tmp_path):
+        spec = tmp_path / "synth.ini"
+        spec.write_text(SYNTH_SPEC.replace("d_in = 12\n", "d_in = 9\nneighbor_grid = 3\n"))
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "study")]) == 0
+        config = tmp_path / "run.ini"
+        config.write_text(RUN_CONFIG)
+        assert main(["train", "--config", str(config)]) == 0
+        _, cfg = model.load_checkpoint(tmp_path / "run" / "fold0_final.gdml")
+        assert (cfg.n_genes, cfg.d_in, cfg.neighbor_tokens) == (10, 9, 9)
+
     def test_zero_heads_exits_2(self, study_dir, capsys):
         config = study_dir / "run.ini"
         config.write_text(RUN_CONFIG.replace("heads = 2\n", "heads = 0\n"))
@@ -377,7 +393,7 @@ class TestTrainPipeline:
 
     @pytest.mark.parametrize("key,value", [
         ("neighbor_blocks", "-1"), ("global_blocks", "-1"), ("fusion_blocks", "-2"),
-        ("dropout", "1.5"), ("neighbor_tokens", "0"), ("d_ff", "-3"), ("d_in", "-5"),
+        ("dropout", "1.5"), ("d_ff", "-3"),
     ])
     def test_impossible_model_size_exits_2(self, study_dir, capsys, key, value):
         config = study_dir / "run.ini"
@@ -633,6 +649,17 @@ class TestMalformedInputs:
             key = fault.rsplit("_", 1)[1]
             manifest.write_text(manifest.read_text().replace(f"{key} = {key}.txt\n", ""))
         assert_one_data_error(run_on_study(command, study_dir), capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_coordinate_outside_int32_exits_3(self, study_dir, capsys, command):
+        coords = study_dir / "study" / "S00_coords.tsv"
+        lines = coords.read_text().splitlines()
+        lines[2] = lines[2].rsplit("\t", 1)[0] + "\t3000000000"
+        coords.write_text("\n".join(lines) + "\n")
+        code = run_on_study(command, study_dir)
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert f"{coords}: line 3: " in err, err
 
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     @pytest.mark.parametrize("fault,file", [

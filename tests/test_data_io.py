@@ -133,6 +133,11 @@ class TestPreprocess:
         with pytest.raises(DataError, match="nope"):
             data_io.preprocess_expression(np.ones((2, 2)), ["a", "b"], ["a", "nope"])
 
+    def test_missing_genes_listed_in_gene_list_order_before_shape_check(self):
+        with pytest.raises(DataError) as info:
+            data_io.preprocess_expression(np.ones((2, 5)), ["a", "b"], ["z", "a", "y", "z"])
+        assert str(info.value) == "genes not present in the count matrix: ['z', 'y', 'z']"
+
     def test_commutes_with_spot_permutation(self):
         rng = np.random.default_rng(2)
         raw = rng.poisson(3.0, size=(10, 6)).astype(float) + 1
@@ -173,6 +178,22 @@ class TestSpotBatch:
         assert sub.n_spots == 2
         np.testing.assert_array_equal(sub.local_feat, batch.local_feat[[2, 5]])
         np.testing.assert_array_equal(sub.coords, batch.coords[[2, 5]])
+
+
+class TestReadCoords:
+    def test_int32_limits_are_kept(self, tmp_path):
+        path = tmp_path / "coords.tsv"
+        path.write_text("spot_id\trow\tcol\na\t-2147483648\t2147483647\n")
+        ids, coords = data_io.read_coords(path)
+        assert ids == ["a"] and coords.tolist() == [[-(2**31), 2**31 - 1]]
+
+    @pytest.mark.parametrize("row,col", [("2147483648", "0"), ("0", "-2147483649"),
+                                         ("3000000000", "5")])
+    def test_outside_int32_names_file_and_line(self, tmp_path, row, col):
+        path = tmp_path / "coords.tsv"
+        path.write_text(f"spot_id\trow\tcol\na\t1\t2\n\nb\t{row}\t{col}\n")
+        with pytest.raises(DataError, match=rf"^{path}: line 4: row or col outside int32"):
+            data_io.read_coords(path)
 
 
 class TestStudyRoundtrip:
@@ -242,7 +263,36 @@ class TestStudyRoundtrip:
             data_io.load_study(manifest)
 
 
+def dict_lookup_grid(n_spots, neighbor_grid):
+    """The spot grid as synth_generate built it per slide: a coordinate ->
+    index dict and one lookup per (offset, spot)."""
+    side = math.ceil(math.sqrt(n_spots))
+    coords = np.array([(i // side, i % side) for i in range(n_spots)], dtype=np.int32)
+    by_coord = {(int(r), int(c)): i for i, (r, c) in enumerate(coords)}
+    half = neighbor_grid // 2
+    offsets = [(dr, dc) for dr in range(-half, half + 1) for dc in range(-half, half + 1)]
+    stencil = [
+        [by_coord.get((int(r) + dr, int(c) + dc), i) for i, (r, c) in enumerate(coords)]
+        for dr, dc in offsets
+    ]
+    return coords, np.array(stencil).reshape(len(offsets), n_spots)
+
+
 class TestSynthGenerate:
+    @pytest.mark.parametrize("neighbor_grid", [1, 3, 5, 7])
+    @pytest.mark.parametrize("n_spots", [*range(1, 51), 400, 401])
+    def test_spot_grid_matches_dict_lookup(self, n_spots, neighbor_grid):
+        coords, stencil = data_io._spot_grid(n_spots, neighbor_grid)
+        want_coords, want_stencil = dict_lookup_grid(n_spots, neighbor_grid)
+        assert coords.dtype == np.int32 and coords.tobytes() == want_coords.tobytes()
+        np.testing.assert_array_equal(stencil, want_stencil)
+
+    def test_samples_own_their_coords(self):
+        study = data_io.synth_generate(data_io.SynthSpec(n_spots=9, n_slides=2, seed=1))
+        a, b = (s.coords for s in study.samples)
+        assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(a, b)
+
     def test_same_seed_identical(self):
         spec = data_io.SynthSpec(n_spots=20, n_slides=2, latent_dim=4, n_genes=8, d_in=10, seed=7)
         a = data_io.synth_generate(spec)

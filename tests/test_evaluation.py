@@ -171,13 +171,11 @@ def report_with_ranks(fold_id, ranks, pccs=None):
     if pccs is None:
         # consistent synthetic pcc vector: higher pcc for better rank
         pccs = 1.0 - (ranks - 1) / m
-    return evaluation.FoldReport(
-        fold_id=fold_id,
-        per_gene_pcc=np.asarray(pccs, dtype=np.float64),
-        mse=0.1,
-        mae=0.1,
-        gene_rank=ranks,
+    report = evaluation.FoldReport(
+        fold_id=fold_id, per_gene_pcc=np.asarray(pccs, dtype=np.float64), mse=0.1, mae=0.1
     )
+    assert report.gene_rank.tolist() == ranks.tolist()
+    return report
 
 
 class TestSelectHpg:
@@ -260,7 +258,7 @@ class TestFoldReportAndAggregate:
         assert summary.pcc_a == pytest.approx(0.4)
 
     def test_undefined_excluded_and_counted(self):
-        r = report_with_ranks(0, [1, 2, 3], pccs=[0.8, np.nan, 0.4])
+        r = report_with_ranks(0, [1, 3, 2], pccs=[0.8, np.nan, 0.4])
         summary = evaluation.aggregate([r], hpg=[0, 1])
         assert summary.undefined_per_fold == [1]
         assert summary.pcc_a == pytest.approx(0.6)  # mean of defined only
@@ -282,6 +280,11 @@ class TestFoldReportAndAggregate:
 
 
 class TestHexRender:
+    def test_title_from_user_files_is_escaped(self):
+        svg = render.render_hex_svg(np.array([[0, 0]]), np.array([1.0]), title='S"1 A&B<1>')
+        text = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+        assert text == ['S"1 A&B<1>']
+
     def test_polygon_count_and_fills(self, tmp_path):
         coords = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int32)
         values = np.array([0.0, 5.0, 10.0])

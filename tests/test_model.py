@@ -153,7 +153,7 @@ class TestAttentionBlock:
             return out
 
         monkeypatch.setattr(ad, "linear", linear)
-        model.attention_block(x, pt, "neighbor/block0", cfg.heads, 0.0, None, False)
+        model.attention_block(x, pt, "neighbor/block0", cfg.heads, 0.0, None)
         q, k, v, out = linear_ids[:4]  # the q, k, v and output projections
         assert (k, v, out) == (q + 1, q + 2, q + 4)
         assert tape._parents[q + 3] == (q, k, v)
@@ -172,7 +172,7 @@ class TestNeighborEncode:
         pooled = model.neighbor_encode(pt, tiled, cfg)
 
         single = model.project_scale(pt, token, "neighbor")
-        single = model.attention_block(single, pt, "neighbor/block0", cfg.heads, 0.0, None, False)
+        single = model.attention_block(single, pt, "neighbor/block0", cfg.heads, 0.0, None)
         np.testing.assert_allclose(pooled.data, single.data.reshape(3, cfg.d), atol=1e-12)
 
     def test_two_token_toy_matches_scripted_oracle(self):
@@ -276,9 +276,11 @@ class TestGeneEncode:
         cfg = tiny_config(dropout=0.3)
         params = model.as_tensors(model.init_params(cfg, 21))
         x = np.random.default_rng(21).normal(size=(4, cfg.n_genes)) ** 2
-        a = model.gene_encode(params, x, cfg, training=False)
-        b = model.gene_encode(params, x, cfg, training=False)
+        a = model.gene_encode(params, x, cfg)
+        b = model.gene_encode(params, x, cfg)
         assert a.data.tobytes() == b.data.tobytes()
+        dropped = model.gene_encode(params, x, cfg, np.random.default_rng(21))
+        assert dropped.data.tobytes() != a.data.tobytes()
 
     def test_layer_by_layer_oracle(self):
         cfg = tiny_config(n_genes=6, d=4, d_ff=8)
@@ -410,7 +412,7 @@ class TestModelInvariants:
 
         def run():
             rng = np.random.default_rng(5)
-            return model.neighbor_encode(params, batch.neighbor_feat, cfg, rng, training=True).data
+            return model.neighbor_encode(params, batch.neighbor_feat, cfg, rng).data
 
         whole = run()
         monkeypatch.setattr(model, "_SPOT_BLOCK", 2)
@@ -423,9 +425,7 @@ class TestModelInvariants:
 
         def run():
             pt = model.as_tensors(params)
-            emb = model.forward_embeddings(
-                pt, batch, cfg, rng=np.random.default_rng(77), training=True
-            )
+            emb = model.forward_embeddings(pt, batch, cfg, rng=np.random.default_rng(77))
             return emb.fused.data
 
         assert run().tobytes() == run().tobytes()
