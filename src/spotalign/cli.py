@@ -160,7 +160,7 @@ def _fold_pool(jobs: int):
 
 def cmd_train(args) -> int:
     manifest, out_dir, model_kwargs, train_kwargs = _load_run_config(args.config)
-    batches = _load_samples(manifest)
+    batches = _load_samples(manifest, scored=True)  # every sample is in some test fold
     first = batches[0]
     try:
         model_cfg = model.ModelConfig(n_genes=first.n_genes, d_in=first.local_feat.shape[1],
@@ -218,10 +218,15 @@ def _write_reports(out_dir: Path, reports: list[evaluation.FoldReport]) -> None:
     print(text, end="")
 
 
-def _load_samples(manifest_path) -> list[data_io.SpotBatch]:
+def _load_samples(manifest_path, scored: bool) -> list[data_io.SpotBatch]:
+    """The manifest's samples; samples to be ``scored`` need 2 spots for a PCC."""
     batches = data_io.load_study(manifest_path)
     if not batches:
         raise DataError(f"manifest {manifest_path} lists no samples")
+    short = [b for b in batches if scored and b.n_spots < 2]
+    if short:
+        raise DataError(f"sample {short[0].sample_id} has {short[0].n_spots} spot(s); "
+                        "scoring needs at least 2 for a per-gene PCC")
     return batches
 
 
@@ -239,7 +244,7 @@ def _prediction(entries, path, sid: str, shape: tuple) -> np.ndarray:
 def cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.predictions is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --predictions")
-    samples = sorted(_load_samples(args.manifest), key=lambda b: b.sample_id)
+    samples = sorted(_load_samples(args.manifest, scored=True), key=lambda b: b.sample_id)
     if args.checkpoint is not None:
         params, model_cfg = model.load_checkpoint(args.checkpoint)
         report = trainer.evaluate_fold(0, params, model_cfg, samples)
@@ -255,7 +260,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params, model_cfg = model.load_checkpoint(args.checkpoint)
-    samples = sorted(_load_samples(args.manifest), key=lambda b: b.sample_id)
+    samples = sorted(_load_samples(args.manifest, scored=False), key=lambda b: b.sample_id)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: dict[str, np.ndarray] = {}

@@ -322,6 +322,8 @@ def load_study(manifest_path) -> list[SpotBatch]:
     base = manifest_path.parent
     column_names = read_gene_list(base / study["columns"])
     gene_list = read_gene_list(base / study["genes"])
+    if not gene_list:
+        raise DataError(f"{base / study['genes']}: selects no genes")
 
     batches = []
     first = None

@@ -54,7 +54,7 @@ class ModelConfig:
     def __post_init__(self):
         check_fields(self, (("d_in", 1), ("d", 1), ("heads", 1), ("neighbor_tokens", 1),
                             ("neighbor_blocks", 0), ("global_blocks", 0), ("fusion_blocks", 0),
-                            ("d_ff", 0)))
+                            ("d_ff", 0), ("n_genes", 1)))
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d % self.heads != 0:

@@ -1,6 +1,7 @@
-"""Optimization loop: Adam with step-decay, per-slide batching, centroid
-refresh per batch or per epoch, patient-grouped cross-validation that scores
-each fold's final parameters once, and deterministic seeding throughout.
+"""Optimization loop: patient-grouped folds, Adam with step decay, centroid
+refresh per batch or per epoch, and ``train_fold``, which runs one
+``_train_step`` per batch of each epoch's ``_schedule`` (a ``_FoldState``
+carries what one step hands the next) and scores the final parameters once.
 
 Every random stream (init, shuffling, dropout, clustering) is derived from
 the config seed plus structural indices, so a full training run is a pure
@@ -176,22 +177,19 @@ def train_fold(
 ) -> TrainResult:
     """Train one fold and return its final parameters and their test-fold report.
 
-    Per step: forward both modalities, refresh centroids from the batch's
-    grouping features (skipped for sub-k batches, which reuse the previous
-    centroids), evaluate the objective, backpropagate, Adam-update.  The test
-    fold is scored once, on the final parameters, so nothing is chosen on it.
+    Each epoch refreshes the centroids from every training spot (epoch mode),
+    then runs one ``_train_step`` per chunk of ``_schedule`` and logs its
+    ``step=`` line after the step, and its tape, are gone.  The test fold is
+    scored once, on the final parameters, so nothing is chosen on it.
     """
     test_ids = set(plan.test_samples(fold_id))
     train_batches = [b for b in batches if b.sample_id not in test_ids]
     test_batches = [b for b in batches if b.sample_id in test_ids]
     if not train_batches:
         raise ContractError(f"fold {fold_id} leaves no training samples")
-    train_patients = {b.patient_id for b in train_batches}
-    test_patients = {b.patient_id for b in test_batches}
-    if train_patients & test_patients:
-        raise ContractError(
-            f"patients straddle fold {fold_id}: {sorted(train_patients & test_patients)}"
-        )
+    straddle = {b.patient_id for b in train_batches} & {b.patient_id for b in test_batches}
+    if straddle:
+        raise ContractError(f"patients straddle fold {fold_id}: {sorted(straddle)}")
 
     log: list[str] = []
 
@@ -200,104 +198,105 @@ def train_fold(
         if on_line is not None:
             on_line(line)
 
-    params = model.init_params(model_cfg, _derived_seed(cfg.seed, fold_id, 2))
-    # start the prediction head at the training-set mean expression so early
-    # epochs refine structure instead of relearning the output scale
-    params["pred/b"] = np.concatenate(
-        [b.expression for b in train_batches], axis=0
-    ).mean(axis=0)
-    adam = init_adam(params)
-    centroids_prev: tuple[np.ndarray, np.ndarray] | None = None
+    state = _init_state(train_batches, model_cfg, cfg, fold_id)
     history: list[dict] = []
     report = None
-    step = 0
-
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-
         if cfg.lam > 0 and cfg.cluster_refresh == "epoch":
-            centroids_prev = _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch)
-
-        # per-slide seeded shuffles, then round-robin across slides
-        chunk_lists = []
-        for si, b in enumerate(train_batches):
-            rng = _derived_rng(cfg.seed, fold_id, epoch, si, 11)
-            perm = rng.permutation(b.n_spots)
-            chunks = [
-                (si, perm[i : i + cfg.batch_size])
-                for i in range(0, b.n_spots, cfg.batch_size)
-            ]
-            chunk_lists.append(chunks)
-        schedule = []
-        for round_i in range(max(len(c) for c in chunk_lists)):
-            for chunks in chunk_lists:
-                if round_i < len(chunks):
-                    schedule.append(chunks[round_i])
-
+            state.centroids = _epoch_centroids(state.params, train_batches, model_cfg, cfg, fold_id, epoch)
+        schedule = _schedule(train_batches, cfg, fold_id, epoch)
         epoch_total = 0.0
         for si, chunk in schedule:
-            sub = train_batches[si].take(chunk)
-            step_rng = _derived_rng(cfg.seed, fold_id, epoch, step, 13)
-
-            tape = ad.Tape()
-            pt = model.as_tensors(params, tape)
-            emb = model.forward_embeddings(pt, sub, model_cfg, step_rng)
-            pred = model.predict_expression(pt, emb.fused)
-            pred_loss = losses.prediction_loss(pred, sub.expression)
-
-            per_scale_vals = (0.0, 0.0, 0.0)
-            if cfg.multi_ins_weight > 0:
-                multi, per_scale_vals = losses.multi_scale_instance_loss(
-                    emb.per_scale, emb.gene, cfg.tau
-                )
-                if cfg.multi_ins_weight != 1.0:
-                    multi = multi * cfg.multi_ins_weight
-            else:
-                multi = ad.constant(0.0)
-
-            cross = ad.constant(0.0)
-            if cfg.lam > 0:
-                if sub.n_spots >= cfg.k and cfg.cluster_refresh == "batch":
-                    seeds = [_derived_seed(cfg.seed, fold_id, epoch, step, s) for s in (17, 19)]
-                    centroids_prev = _centroids(params, [emb], cfg, seeds)
-                elif centroids_prev is None:
-                    emit(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
-                elif cfg.cluster_refresh == "batch":
-                    emit(f"step={step} epoch={epoch} event=centroids_reused n={sub.n_spots}")
-                if centroids_prev is not None:
-                    c_img, c_gene = centroids_prev
-                    img_assign = grouping.assign_cross(emb.fused.data, c_gene)
-                    gene_assign = grouping.assign_cross(emb.gene.data, c_img)
-                    cross = losses.cross_level_loss(
-                        emb.fused, emb.gene, c_gene, c_img, img_assign, gene_assign, cfg.tau_ig
-                    )
-
-            total, breakdown = losses.total_loss(
-                multi, cross, pred_loss, cfg.lam, per_scale_vals
-            )
-            node_grads = tape.backward(total)
-            grads = {name: node_grads[pt[name].node_id] for name in params}
-            adam_step(params, grads, adam, lr)
-
+            step = state.step
+            breakdown = _train_step(state, train_batches[si].take(chunk), model_cfg, cfg,
+                                    fold_id, epoch, lr, emit)
             # loss fields at full precision so total can be re-derived exactly
-            emit(
-                f"step={step} epoch={epoch} lr={lr!r} "
-                f"multi_ins={breakdown.multi_ins!r} cross={breakdown.cross!r} "
-                f"pred={breakdown.pred!r} total={breakdown.total!r}"
-            )
+            emit(f"step={step} epoch={epoch} lr={lr!r} multi_ins={breakdown.multi_ins!r} "
+                 f"cross={breakdown.cross!r} pred={breakdown.pred!r} total={breakdown.total!r}")
             epoch_total += breakdown.total
-            step += 1
-
         summary = {"epoch": epoch, "lr": lr, "mean_total": epoch_total / max(len(schedule), 1)}
         line = f"epoch={epoch} mean_total={summary['mean_total']:.6f}"
         if epoch == cfg.epochs - 1 and test_batches:
-            report = evaluate_fold(fold_id, params, model_cfg, test_batches)
+            report = evaluate_fold(fold_id, state.params, model_cfg, test_batches)
             summary.update(val_pcc_a=report.pcc_a, val_mse=report.mse)
             line += f" val_pcc_a={report.pcc_a:.6f}"
         history.append(summary)
         emit(line)
 
-    return TrainResult(params_final=params, history=history, log_lines=log, report=report)
+    return TrainResult(params_final=state.params, history=history, log_lines=log, report=report)
+
+
+@dataclass
+class _FoldState:
+    """What one training step hands the next."""
+
+    params: dict[str, np.ndarray]
+    adam: AdamState
+    centroids: tuple[np.ndarray, np.ndarray] | None = None  # image, gene
+    step: int = 0  # steps taken in this fold, across epochs
+
+
+def _init_state(train_batches, model_cfg, cfg: TrainConfig, fold_id: int) -> _FoldState:
+    params = model.init_params(model_cfg, _derived_seed(cfg.seed, fold_id, 2))
+    # start the prediction head at the training-set mean expression so early
+    # epochs refine structure instead of relearning the output scale
+    params["pred/b"] = np.concatenate([b.expression for b in train_batches]).mean(axis=0)
+    return _FoldState(params, init_adam(params))
+
+
+def _schedule(train_batches, cfg: TrainConfig, fold_id: int, epoch: int):
+    """The epoch's (slide index, spot indices) chunks: each slide's spots in a
+    seeded shuffle, cut into ``batch_size`` chunks, taken round-robin across
+    slides."""
+    chunk_lists = []
+    for si, b in enumerate(train_batches):
+        perm = _derived_rng(cfg.seed, fold_id, epoch, si, 11).permutation(b.n_spots)
+        chunk_lists.append([(si, perm[i : i + cfg.batch_size])
+                            for i in range(0, b.n_spots, cfg.batch_size)])
+    return [chunks[r] for r in range(max(map(len, chunk_lists)))
+            for chunks in chunk_lists if r < len(chunks)]
+
+
+def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
+                fold_id: int, epoch: int, lr: float, emit) -> losses.LossBreakdown:
+    """One step on ``sub`` that advances ``state`` in place: forward both
+    modalities on the step's own tape, refresh the centroids from the batch in
+    batch mode (a sub-k batch reuses the previous ones), then backpropagate the
+    objective and Adam-update.  Returns the step's loss breakdown."""
+    step, params = state.step, state.params
+    tape = ad.Tape()
+    pt = model.as_tensors(params, tape)
+    emb = model.forward_embeddings(pt, sub, model_cfg, _derived_rng(cfg.seed, fold_id, epoch, step, 13))
+    pred_loss = losses.prediction_loss(model.predict_expression(pt, emb.fused), sub.expression)
+
+    multi, per_scale_vals = ad.constant(0.0), (0.0, 0.0, 0.0)
+    if cfg.multi_ins_weight > 0:
+        multi, per_scale_vals = losses.multi_scale_instance_loss(emb.per_scale, emb.gene, cfg.tau)
+        if cfg.multi_ins_weight != 1.0:
+            multi = multi * cfg.multi_ins_weight
+
+    cross = ad.constant(0.0)
+    if cfg.lam > 0:
+        if sub.n_spots >= cfg.k and cfg.cluster_refresh == "batch":
+            seeds = [_derived_seed(cfg.seed, fold_id, epoch, step, s) for s in (17, 19)]
+            state.centroids = _centroids(model.as_tensors(params), [emb], cfg, seeds)
+        elif state.centroids is None:
+            emit(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
+        elif cfg.cluster_refresh == "batch":
+            emit(f"step={step} epoch={epoch} event=centroids_reused n={sub.n_spots}")
+        if state.centroids is not None:
+            c_img, c_gene = state.centroids
+            img_assign = grouping.assign_cross(emb.fused.data, c_gene)
+            gene_assign = grouping.assign_cross(emb.gene.data, c_img)
+            cross = losses.cross_level_loss(emb.fused, emb.gene, c_gene, c_img,
+                                            img_assign, gene_assign, cfg.tau_ig)
+
+    total, breakdown = losses.total_loss(multi, cross, pred_loss, cfg.lam, per_scale_vals)
+    node_grads = tape.backward(total)
+    adam_step(params, {name: node_grads[pt[name].node_id] for name in params}, state.adam, lr)
+    state.step += 1
+    return breakdown
 
 
 def _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch):
@@ -308,13 +307,13 @@ def _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch):
     const_pt = model.as_tensors(params)
     embeddings = [model.forward_embeddings(const_pt, b, model_cfg) for b in train_batches]
     seeds = [_derived_seed(cfg.seed, fold_id, epoch, s) for s in (23, 29)]
-    return _centroids(params, embeddings, cfg, seeds)
+    return _centroids(const_pt, embeddings, cfg, seeds)
 
 
-def _centroids(params, embeddings, cfg: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _centroids(const_pt, embeddings, cfg: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Image and gene k-means centroids of the grouping features of
-    ``embeddings`` (their spots concatenated), one seed per modality."""
-    const_pt = model.as_tensors(params)
+    ``embeddings`` (their spots concatenated), one seed per modality;
+    ``const_pt`` holds the parameters as constants."""
     centroids = []
     per_modality = zip(*[(e.fused.data, e.gene.data) for e in embeddings])
     for modality, feats, seed in zip(("image", "gene"), per_modality, seeds):

@@ -595,7 +595,7 @@ class TestMalformedInputs:
         "nan_value", "fractional_size", "empty_entry", "concat_fusion_parameter", "heads_zero",
         "heads_negative", "heads_do_not_divide_d", "nan_parameter", "neighbor_blocks_negative",
         "global_blocks_negative", "fusion_blocks_negative", "dropout_above_one",
-        "neighbor_tokens_zero", "d_ff_negative", "d_in_zero",
+        "neighbor_tokens_zero", "d_ff_negative", "d_in_zero", "n_genes_zero",
     ])
     def test_corrupt_checkpoint_exits_3(self, study_dir, capsys, fault):
         cfg = ModelConfig(n_genes=10, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16)
@@ -625,6 +625,7 @@ class TestMalformedInputs:
                 "neighbor_tokens_zero": ("config:neighbor_tokens", [0.0]),
                 "d_ff_negative": ("config:d_ff", [-16.0]),
                 "d_in_zero": ("config:d_in", [0.0]),
+                "n_genes_zero": ("config:n_genes", [0.0]),
             }[fault]
             entries = data_io.read_container(checkpoint)
             entries[key] = np.array(value, dtype=np.float64)
@@ -635,8 +636,10 @@ class TestMalformedInputs:
         ])
         assert_one_data_error(code, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("command", ["train", "predict"])
-    @pytest.mark.parametrize("fault", ["non_integer_coord", "no_study_genes", "no_study_columns"])
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    @pytest.mark.parametrize("fault", [
+        "non_integer_coord", "no_study_genes", "no_study_columns", "empty_gene_selection",
+    ])
     def test_malformed_study_exits_3(self, study_dir, capsys, command, fault):
         study = study_dir / "study"
         manifest = study / "manifest.ini"
@@ -645,10 +648,37 @@ class TestMalformedInputs:
             lines = coords.read_text().splitlines()
             lines[1] = lines[1].rsplit("\t", 1)[0] + "\t1.5"
             coords.write_text("\n".join(lines) + "\n")
+        elif fault == "empty_gene_selection":
+            (study / "genes.txt").write_text("# no genes selected\n")
         else:
             key = fault.rsplit("_", 1)[1]
             manifest.write_text(manifest.read_text().replace(f"{key} = {key}.txt\n", ""))
-        assert_one_data_error(run_on_study(command, study_dir), capsys.readouterr().err)
+        code = run_on_study(command, study_dir)
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        if fault == "empty_gene_selection":
+            assert f"{study / 'genes.txt'}: selects no genes" in err, err
+        assert not (study_dir / "run").exists()  # train wrote nothing
+
+    def test_one_spot_sample_exits_3_when_scored(self, tmp_path, capsys):
+        spec = tmp_path / "synth.ini"
+        spec.write_text(SYNTH_SPEC.replace("n_spots = 40\n", "n_spots = 1\n"))
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "study")]) == 0
+        capsys.readouterr()
+        assert run_on_study("predict", tmp_path) == 0  # predicting needs no second spot
+        predictions = tmp_path / "p" / "predictions.gdml"
+        assert data_io.read_container(predictions)["pred:S00"].shape == (1, 10)
+        for command in ("train", "eval", "eval-predictions"):
+            if command == "eval-predictions":
+                code = main(["eval", "--predictions", str(predictions), "--manifest",
+                             str(tmp_path / "study" / "manifest.ini"), "--out", str(tmp_path / "e")])
+            else:
+                code = run_on_study(command, tmp_path)
+            err = capsys.readouterr().err
+            assert_one_data_error(code, err)
+            assert "sample S00 has 1 spot(s)" in err, err
+        assert not (tmp_path / "run").exists()  # train stopped before any fold trained
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     def test_coordinate_outside_int32_exits_3(self, study_dir, capsys, command):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +230,18 @@ class TestTrainFold:
         result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
         assert any("cross_skipped" in line for line in result.log_lines)
 
+        # one 50-spot training slide cut into 20 + 20 + 10: the 10-spot chunk is
+        # below k and scores its cross term against step 1's centroids
+        batches, mcfg = desk_setup(n_spots=50)
+        tcfg = dataclasses.replace(tcfg, batch_size=20, k=15)
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 3)
+        lines = trainer.train_fold(0, plan, batches, mcfg, tcfg).log_lines
+        reused = lines.index("step=2 epoch=0 event=centroids_reused n=10")
+        assert not any("event=" in line for line in lines[:reused])
+        assert lines[reused - 1].startswith("step=1 epoch=0 lr=")
+        assert lines[reused + 1].startswith("step=2 epoch=0 lr=")
+        assert " cross=0.0 " not in lines[reused + 1]
+
     def test_total_equals_sum_of_logged_parts(self):
         batches, mcfg = desk_setup()
         tcfg = trainer.TrainConfig(
@@ -268,6 +281,68 @@ class TestTrainFold:
         assert len(skipped) == len(trained) == len(steps) // 2 > 0
         assert all(" cross=0.0 " in line for line in trained)
         assert len(result.history) == 2
+
+
+def inline_schedule(train_batches, cfg, fold_id, epoch):
+    """The per-slide shuffle and round-robin loop as ``train_fold`` first ran
+    it inline, kept verbatim as the oracle for ``trainer._schedule``."""
+    chunk_lists = []
+    for si, b in enumerate(train_batches):
+        rng = trainer._derived_rng(cfg.seed, fold_id, epoch, si, 11)
+        perm = rng.permutation(b.n_spots)
+        chunks = [
+            (si, perm[i : i + cfg.batch_size])
+            for i in range(0, b.n_spots, cfg.batch_size)
+        ]
+        chunk_lists.append(chunks)
+    schedule = []
+    for round_i in range(max(len(c) for c in chunk_lists)):
+        for chunks in chunk_lists:
+            if round_i < len(chunks):
+                schedule.append(chunks[round_i])
+    return schedule
+
+
+class TestTrainStep:
+    # batch sizes below, equal to and above each slide's spot count
+    @pytest.mark.parametrize("sizes", [(7,), (20, 7), (3, 25, 12)])
+    @pytest.mark.parametrize("batch_size", [1, 5, 7, 12, 25, 40])
+    def test_schedule_matches_inline_loop(self, sizes, batch_size):
+        slides = [SimpleNamespace(n_spots=n) for n in sizes]
+        cfg = trainer.TrainConfig(batch_size=batch_size, seed=9)
+        for fold_id, epoch in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 5)]:
+            got = trainer._schedule(slides, cfg, fold_id, epoch)
+            want = inline_schedule(slides, cfg, fold_id, epoch)
+            assert [si for si, _ in got] == [si for si, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_steps_from_fresh_state_match_train_fold(self):
+        # one 50-spot training slide, batch 40: step 1's 10 spots are below k,
+        # so it scores against the centroids that step 0 left in the state
+        batches, mcfg = desk_setup(n_spots=50)
+        tcfg = trainer.TrainConfig(
+            lr=1e-3, batch_size=40, epochs=1, seed=3, k=15, lam=0.8, n_folds=2,
+            kmeans_n_init=2,
+        )
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 3)
+        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
+
+        train = [b for b in batches if b.sample_id not in set(plan.folds[0])]
+        state = trainer._init_state(train, mcfg, tcfg, 0)
+        lr = trainer.lr_schedule(0, tcfg)
+        lines: list[str] = []
+        for si, chunk in trainer._schedule(train, tcfg, 0, 0):
+            step = state.step
+            b = trainer._train_step(state, train[si].take(chunk), mcfg, tcfg, 0, 0, lr, lines.append)
+            lines.append(f"step={step} epoch=0 lr={lr!r} multi_ins={b.multi_ins!r} "
+                         f"cross={b.cross!r} pred={b.pred!r} total={b.total!r}")
+        assert state.step == 2
+        assert lines == result.log_lines[:-1]
+        assert "step=1 epoch=0 event=centroids_reused n=10" in lines
+        assert result.params_final.keys() == state.params.keys()
+        for name, value in result.params_final.items():
+            assert value.tobytes() == state.params[name].tobytes(), name
 
 
 class TestInfer:
