@@ -11,8 +11,8 @@ the same seed reproduce gradients bitwise.
 A :class:`Tape` is single-owner while recording and during backward; distinct
 tapes may be used from distinct threads.  Operations whose inputs are all
 constants (no tape) stay off any tape and just return a constant result, and
-no op computes a gradient for a constant operand.  Attention scores one head
-at a time and keeps every head's T×T scores only when taped, for the backward.
+no op computes a gradient for a constant operand.  Attention scores a head in
+row blocks, keeping every head's T×T scores only when taped, for the backward.
 
 The sweep contract: a tape is swept by :meth:`Tape.backward` once.  The sweep
 releases each node's closure, and with it the forward buffers the closure
@@ -35,6 +35,7 @@ from .errors import ContractError, ShapeError
 GELU_COEF = 0.7978845608028654
 GELU_CUBIC = 0.044715
 _SOFTMAX_BLOCK = 1 << 17  # scores (1 MiB) scaled and soft-maxed per pass
+_SCORE_BLOCK = 1 << 22  # bytes of one head's scores per query-row block
 
 
 class Tape:
@@ -458,9 +459,11 @@ def attention(q, k, v, heads: int) -> DiffTensor:
     S = q kᵀ / sqrt(dh) per head and merges the heads of P v back to
     (B, T, d).  The backward uses the closed-form softmax Jacobian of
     Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).  One forward scores
-    a head at a time and soft-maxes it in cache-sized query-row blocks; a taped
-    call keeps every head's P for the backward, an untaped one refills one
-    head's: O(B·T·d + B·T²) memory.
+    each head in equal query-row blocks of at most ``_SCORE_BLOCK`` bytes (Rabe
+    & Staats, 2021) and soft-maxes them in cache-sized sub-blocks.  A taped call
+    writes every head's P for the backward, an untaped one reuses one block's
+    buffer: O(B·T·d + one block) memory, the same bits.  A head that fits in one
+    block keeps a whole-head product's bits.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
@@ -478,19 +481,25 @@ def attention(q, k, v, heads: int) -> DiffTensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     taped = any(x.tape is not None for x in (q, k, v))
-    ph = np.empty((heads if taped else 1, b, t, t))  # head-major: each head's P is contiguous
+    # equal blocks: a short tail block would take another BLAS kernel and round differently
+    blocks = max(1, -(-b * t * t * 8 // _SCORE_BLOCK))
+    rows = max(1, -(-t // blocks))
+    step = max(1, _SOFTMAX_BLOCK // max(1, b * t))  # query rows per softmax block
+    # taped: every head's P, head-major so each is contiguous; untaped: one block's scores
+    ph = np.empty((heads, b, t, t) if taped else (b, rows, t))
     context = np.empty((b, heads, t, dh))
-    step = max(1, _SOFTMAX_BLOCK // (b * t))  # query rows per softmax block
     for i in range(heads):
-        p = ph[i if taped else 0]
-        # batched matmul runs one gemm per (b, h) slice, so whole-head products keep the bits
-        # (row blocks of q would not); scaling and softmax act per row, so row blocks do
-        np.matmul(qh[:, i], np.swapaxes(kh[:, i], -1, -2), out=p)
-        for r in range(0, t, step):
-            block = p[:, r : r + step]
-            block *= scale
-            softmax_rows(block)
-        np.matmul(p, vh[:, i], out=context[:, i])
+        for r in range(0, t, rows):
+            qr = qh[:, i, r : r + rows]
+            p = ph[i, :, r : r + rows] if taped else ph[:, : qr.shape[1]]
+            # batched matmul runs one gemm per (b, h) slice, so a one-block head keeps the
+            # bits of a whole-head product; scaling and softmax act per row, so blocks do
+            np.matmul(qr, np.swapaxes(kh[:, i], -1, -2), out=p)
+            for s in range(0, qr.shape[1], step):
+                block = p[:, s : s + step]
+                block *= scale
+                softmax_rows(block)
+            np.matmul(p, vh[:, i], out=context[:, i, r : r + rows])
 
     def backward(g: np.ndarray):
         probs = np.swapaxes(ph, 0, 1)  # (B, H, T, T)

@@ -219,14 +219,14 @@ def _write_reports(out_dir: Path, reports: list[evaluation.FoldReport]) -> None:
 
 
 def _load_samples(manifest_path, scored: bool) -> list[data_io.SpotBatch]:
-    """The manifest's samples; samples to be ``scored`` need 2 spots for a PCC."""
+    """The manifest's samples, each with a spot; samples to be ``scored`` need 2 for a PCC."""
     batches = data_io.load_study(manifest_path)
     if not batches:
         raise DataError(f"manifest {manifest_path} lists no samples")
-    short = [b for b in batches if scored and b.n_spots < 2]
+    short = [b for b in batches if b.n_spots < (2 if scored else 1)]
     if short:
-        raise DataError(f"sample {short[0].sample_id} has {short[0].n_spots} spot(s); "
-                        "scoring needs at least 2 for a per-gene PCC")
+        need = "scoring needs at least 2 for a per-gene PCC" if scored else "predicting needs 1"
+        raise DataError(f"sample {short[0].sample_id} has {short[0].n_spots} spot(s); {need}")
     return batches
 
 

@@ -8,6 +8,7 @@ composites that the fused primitives replaced.
 import gc
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -268,6 +269,18 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def untaped_attention_peak(q, k, v, heads):
+    """An untaped attention's output and the peak bytes it allocated."""
+    q, k, v = ad.constant(q), ad.constant(k), ad.constant(v)
+    tracemalloc.start()
+    try:
+        out = ad.attention(q, k, v, heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out.data, peak
+
+
 class TestFusedPrimitives:
     """Each fused primitive against the composite it replaced."""
 
@@ -352,10 +365,11 @@ class TestFusedPrimitives:
         for g, w in zip(got, want):  # output, then the q, k and v gradients
             assert_same_bytes(g, w)
 
-    # both paths score one head at a time (untaped calls keep one head's scores);
-    # query-row blocks of q would not keep these bits (BLAS picks its kernel by
-    # shape), whole heads do
-    @pytest.mark.parametrize("b,t,d,heads", ATTENTION_SHAPES + [(1, 401, 24, 4), (1, 1000, 32, 8)])
+    # both paths share one forward, which scores a head in equal query-row blocks
+    # (an untaped call reuses one block's buffer); a head that fits in one block
+    # keeps the bits of a whole-head product, and (1, 3000) splits into 18 blocks
+    @pytest.mark.parametrize("b,t,d,heads", ATTENTION_SHAPES + [(1, 401, 24, 4), (1, 1000, 32, 8),
+                                                                (1, 3000, 24, 4)])
     def test_untaped_attention_matches_taped_bytewise(self, b, t, d, heads):
         rng = np.random.default_rng(b * t + d)
         q, k, v = (rng.normal(size=(b, t, d)) * 2.0 for _ in range(3))
@@ -377,6 +391,36 @@ class TestFusedPrimitives:
             assert_same_bytes(g, w)
         untaped = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 4)
         assert_same_bytes(untaped.data, want[0])
+
+    @pytest.mark.parametrize("blocks", [2, 3, 7])
+    @pytest.mark.parametrize("b,t", [(1, 401), (2, 401), (1, 1000), (2, 1000)])
+    def test_score_blocks_split_heads(self, monkeypatch, blocks, b, t):
+        rng = np.random.default_rng(blocks * t + b)
+        q, k, v = (rng.normal(size=(b, t, 24)) * 2.0 for _ in range(3))
+        want = output_and_grads(lambda *qkv: ref_attention(*qkv, 4), q, k, v)
+        monkeypatch.setattr(ad, "_SCORE_BLOCK", -(-b * t * t * 8 // blocks))
+        got = output_and_grads(lambda *qkv: ad.attention(*qkv, 4), q, k, v)
+        for g, w in zip(got, want):  # output, then the q, k and v gradients
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+        untaped, peak = untaped_attention_peak(q, k, v, 4)
+        assert_same_bytes(untaped, got[0])
+        # one block of scores (its row count rounded up), then inputs, context and output
+        assert peak < ad._SCORE_BLOCK + b * t * 8 + 5 * q.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_untaped_attention_memory_is_bounded_by_a_score_block(self):
+        # a whole (1, 2000, 2000) head of scores would be 32 MB
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.normal(size=(1, 2000, 24)) for _ in range(3))
+        _, peak = untaped_attention_peak(q, k, v, 4)
+        assert peak < 2 * ad._SCORE_BLOCK + 5 * q.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("shape", [(0, 5, 8), (2, 0, 8)])
+    def test_attention_on_empty_inputs(self, shape):
+        x = np.zeros(shape)
+        untaped = ad.attention(ad.constant(x), ad.constant(x), ad.constant(x), 2)
+        assert untaped.data.shape == shape
+        for g in output_and_grads(lambda *qkv: ad.attention(*qkv, 2), x, x, x):
+            assert g.shape == shape  # the output, then the q, k and v gradients
 
     @pytest.mark.parametrize("b,t,d,heads", [(2, 3, 4, 2), (1, 4, 6, 3), (3, 1, 2, 1)])
     def test_attention_gradients_pass_grad_check(self, b, t, d, heads):

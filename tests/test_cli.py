@@ -681,6 +681,19 @@ class TestMalformedInputs:
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_sample_with_no_spots_exits_3(self, study_dir, capsys, command):
+        # every spot of S01 has a zero total, so loading drops them all
+        expression = study_dir / "study" / "S01_expression.gdml"
+        counts = data_io.read_container(expression)["counts"]
+        data_io.write_container(expression, {"counts": np.zeros_like(counts)})
+        with pytest.warns(UserWarning, match="S01: dropped 40 zero-total"):
+            code = run_on_study(command, study_dir)
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert "sample S01 has 0 spot(s)" in err, err
+        assert not (study_dir / "run").exists() and not (study_dir / "p").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     def test_coordinate_outside_int32_exits_3(self, study_dir, capsys, command):
         coords = study_dir / "study" / "S00_coords.tsv"
         lines = coords.read_text().splitlines()
