@@ -125,7 +125,7 @@ def build_fold_report(
         gene = np.where(
             np.isnan(per_sample).all(axis=0),
             np.nan,
-            np.nansum(np.nan_to_num(per_sample), axis=0)
+            np.nan_to_num(per_sample).sum(axis=0)
             / np.maximum((~np.isnan(per_sample)).sum(axis=0), 1),
         )
     mse = float(np.mean([mse_metric(t, p) for t, p in sample_pairs]))
@@ -163,7 +163,7 @@ def aggregate(fold_reports: list[FoldReport], hpg: list[int]) -> EvalSummary:
     if not fold_reports:
         raise ContractError("aggregate needs at least one fold report")
     hpg_arr = np.asarray(hpg, dtype=np.int64)
-    pcc_a = np.array([_nanmean(r.per_gene_pcc) for r in fold_reports])
+    pcc_a = np.array([r.pcc_a for r in fold_reports])
     pcc_h = np.array([_nanmean(r.per_gene_pcc[hpg_arr]) for r in fold_reports])
     mse = np.array([r.mse for r in fold_reports])
     mae = np.array([r.mae for r in fold_reports])

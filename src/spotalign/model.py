@@ -46,16 +46,13 @@ class ModelConfig:
     d: int = 512
     heads: int = 4
     neighbor_blocks: int = 2
-    global_blocks: int = 1
-    fusion_blocks: int = 1
     d_ff: int = 0  # 0 means 4 * d
     dropout: float = 0.1
     neighbor_tokens: int = 25
 
     def __post_init__(self):
         check_fields(self, (("d_in", 1), ("d", 1), ("heads", 1), ("neighbor_tokens", 1),
-                            ("neighbor_blocks", 0), ("global_blocks", 0), ("fusion_blocks", 0),
-                            ("d_ff", 0), ("n_genes", 1)))
+                            ("neighbor_blocks", 0), ("d_ff", 0), ("n_genes", 1)))
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d % self.heads != 0:
@@ -104,9 +101,10 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     for scale in SCALES:
         shapes[f"proj_{scale}/w"] = (cfg.d_in, cfg.d)
         shapes[f"proj_{scale}/b"] = (cfg.d,)
-    for group in ("neighbor", "global", "fusion"):
-        for i in range(getattr(cfg, f"{group}_blocks")):
-            shapes.update(_block_shapes(f"{group}/block{i}", cfg.d, cfg.d_ff))
+    for i in range(cfg.neighbor_blocks):
+        shapes.update(_block_shapes(f"neighbor/block{i}", cfg.d, cfg.d_ff))
+    shapes.update(_block_shapes("global/block0", cfg.d, cfg.d_ff))
+    shapes.update(_block_shapes("fusion/block0", cfg.d, cfg.d_ff))
     shapes["gene/enc/w1"] = (cfg.n_genes, cfg.d)
     shapes["gene/enc/b1"] = (cfg.d,)
     shapes["gene/enc/w2"] = (cfg.d, cfg.d)
@@ -232,8 +230,7 @@ def global_encode(
     """One transformer block attending across all spots of a single slide."""
     n, d = local_proj.shape
     x = ad.reshape(local_proj, (1, n, d))
-    for i in range(cfg.global_blocks):
-        x = attention_block(x, p, f"global/block{i}", cfg.heads, cfg.dropout, rng)
+    x = attention_block(x, p, "global/block0", cfg.heads, cfg.dropout, rng)
     return ad.reshape(x, (n, d))
 
 
@@ -256,8 +253,7 @@ def scale_fusion(
         )
     n, d = i_local.shape
     x = ad.reshape(ad.concat([i_local, i_neighbor, i_global], axis=-1), (n, 3, d))
-    for i in range(cfg.fusion_blocks):
-        x = attention_block(x, p, f"fusion/block{i}", cfg.heads, cfg.dropout, rng)
+    x = attention_block(x, p, "fusion/block0", cfg.heads, cfg.dropout, rng)
 
     tokens = [ad.take(x, s, axis=1) for s in range(3)]
     fused = (tokens[0] + tokens[1] + tokens[2]) * (1.0 / 3.0)
@@ -336,7 +332,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: ModelConfig) -> No
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     """Parameters and config of a checkpoint; anything that does not describe
-    a valid model raises DataError."""
+    a valid model raises DataError.  A ``config:`` entry that names no
+    ModelConfig field is ignored, such as the ``global_blocks`` and
+    ``fusion_blocks`` of older checkpoints; their parameters must still be
+    those of one global and one fusion block."""
     entries = data_io.read_container(path)
     kwargs = {}
     for f in fields(ModelConfig):
@@ -356,8 +355,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
         name[len("param:") :]: arr for name, arr in entries.items() if name.startswith("param:")
     }
     # a corrupt block count must not make param_shapes loop for ever
-    blocks = cfg.neighbor_blocks + cfg.global_blocks + cfg.fusion_blocks
-    if blocks > len(params) or set(params) != set(expected := param_shapes(cfg)):
+    if cfg.neighbor_blocks > len(params) or set(params) != set(expected := param_shapes(cfg)):
         raise DataError(f"checkpoint {path} parameter names do not match its config")
     for name, shape in expected.items():
         if params[name].shape != shape or not np.isfinite(params[name]).all():

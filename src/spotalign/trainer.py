@@ -22,13 +22,13 @@ from .errors import ContractError, DataError, NumericError, check_fields
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LR_DECAY = 0.95
+LR_DECAY_EVERY = 20
 
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    decay: float = 0.95
-    decay_every: int = 20
     batch_size: int = 256
     epochs: int = 200
     seed: int = 0
@@ -42,11 +42,10 @@ class TrainConfig:
     kmeans_n_init: int = 10
 
     def __post_init__(self):
-        check_fields(self, (("decay_every", 1), ("batch_size", 1), ("epochs", 1), ("k", 1),
-                            ("kmeans_n_init", 1), ("seed", 0), ("lam", 0),
-                            ("multi_ins_weight", 0)))
-        if self.lr <= 0 or self.decay <= 0:
-            raise ContractError("lr and decay must be positive")
+        check_fields(self, (("batch_size", 1), ("epochs", 1), ("k", 1), ("kmeans_n_init", 1),
+                            ("seed", 0), ("lam", 0), ("multi_ins_weight", 0)))
+        if self.lr <= 0:
+            raise ContractError("lr must be positive")
         if self.tau <= 0 or self.tau_ig <= 0:
             raise ContractError("temperatures must be positive")
         if self.cluster_refresh not in ("batch", "epoch"):
@@ -54,10 +53,10 @@ class TrainConfig:
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """Step decay: lr0 * decay^floor(epoch / decay_every)."""
+    """Fixed step decay: lr0 * LR_DECAY^floor(epoch / LR_DECAY_EVERY)."""
     if epoch < 0:
         raise ContractError(f"epoch must be >= 0, got {epoch}")
-    return cfg.lr * cfg.decay ** (epoch // cfg.decay_every)
+    return cfg.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import configparser
 import csv
 import math
 import os
+import random
 import re
+import shutil
 import struct
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -124,11 +127,9 @@ SYNTH_VALUES = dict(
     n_spots=30, n_slides=3, latent_dim=5, n_genes=7, rho=0.5, sigma=0.1, seed=4, d_in=9,
     neighbor_grid=3, count_scale=10.0, n_clusters=8, cluster_strength=0.85,
 )
-MODEL_VALUES = dict(
-    d=12, heads=3, neighbor_blocks=1, global_blocks=2, fusion_blocks=2, d_ff=20, dropout=0.2,
-)
+MODEL_VALUES = dict(d=12, heads=3, neighbor_blocks=1, d_ff=20, dropout=0.2)
 TRAIN_VALUES = dict(
-    lr=0.01, decay=0.5, decay_every=3, batch_size=16, epochs=2, seed=8, k=3, lam=0.3,
+    lr=0.01, batch_size=16, epochs=2, seed=8, k=3, lam=0.3,
     tau=0.2, tau_ig=0.3, multi_ins_weight=0.5, n_folds=3, cluster_refresh="epoch",
     kmeans_n_init=2,
 )
@@ -197,6 +198,9 @@ class TestConfigSchema:
             # a config echoed before these four fields were deleted
             [("model", "fusion_mode = mean"), ("loss", "target_mode = hard"),
              ("train", "kmeans_max_iter = 100"), ("train", "kmeans_tol = 1e-6")],
+            # a config echoed before the block depths and the schedule were fixed
+            [("model", "global_blocks = 1"), ("model", "fusion_blocks = 1"),
+             ("train", "decay = 0.95"), ("train", "decay_every = 20")],
             # a config echoed while [model] still listed the study's shapes
             [("model", "d_in = 12"), ("model", "neighbor_tokens = 25")],
         ],
@@ -392,8 +396,7 @@ class TestTrainPipeline:
         assert err.startswith("error: config: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("key,value", [
-        ("neighbor_blocks", "-1"), ("global_blocks", "-1"), ("fusion_blocks", "-2"),
-        ("dropout", "1.5"), ("d_ff", "-3"),
+        ("neighbor_blocks", "-1"), ("dropout", "1.5"), ("d_ff", "-3"),
     ])
     def test_impossible_model_size_exits_2(self, study_dir, capsys, key, value):
         config = study_dir / "run.ini"
@@ -406,7 +409,7 @@ class TestTrainPipeline:
         assert not (study_dir / "run").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("lambda", "nan"), ("multi_ins_weight", "nan"), ("decay", "nan"), ("tau_ig", "inf"),
+        ("lambda", "nan"), ("multi_ins_weight", "nan"), ("tau_ig", "inf"),
         ("kmeans_n_init", "0"), ("kmeans_n_init", "-2"), ("lr", "nan"), ("tau", "nan"),
         ("seed", "-1"),
     ])
@@ -557,11 +560,10 @@ class TestMalformedInputs:
     def test_corrupted_checkpoint_bytes_load_or_raise_data_error(self, tmp_path):
         # every header byte and every config payload byte of a small
         # checkpoint, set to 0x00, 0xff, 0x7f and to itself with bit 0 flipped;
-        # no attention blocks, so 30 entries, and block counts read 0.0, which
-        # corrupts to counts as large as 5e303.  Then every payload byte of two
-        # small parameter entries with bit 0 flipped.
-        cfg = ModelConfig(n_genes=2, d_in=2, d=2, heads=1, neighbor_blocks=0, global_blocks=0,
-                          fusion_blocks=0, d_ff=2)
+        # no neighbor blocks, so 60 entries, and neighbor_blocks reads 0.0,
+        # which corrupts to counts as large as 5e303.  Then every payload byte
+        # of two small parameter entries with bit 0 flipped.
+        cfg = ModelConfig(n_genes=2, d_in=2, d=2, heads=1, neighbor_blocks=0, d_ff=2)
         path = tmp_path / "ck.gdml"
         model.save_checkpoint(path, model.init_params(cfg, 0), cfg)
         blob = path.read_bytes()
@@ -594,8 +596,8 @@ class TestMalformedInputs:
         "dims_product_wraps", "zero_size_dims_overflow", "rank_above_64", "inf_value",
         "nan_value", "fractional_size", "empty_entry", "concat_fusion_parameter", "heads_zero",
         "heads_negative", "heads_do_not_divide_d", "nan_parameter", "neighbor_blocks_negative",
-        "global_blocks_negative", "fusion_blocks_negative", "dropout_above_one",
-        "neighbor_tokens_zero", "d_ff_negative", "d_in_zero", "n_genes_zero",
+        "dropout_above_one", "neighbor_tokens_zero", "d_ff_negative", "d_in_zero", "n_genes_zero",
+        "second_global_block",
     ])
     def test_corrupt_checkpoint_exits_3(self, study_dir, capsys, fault):
         cfg = ModelConfig(n_genes=10, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16)
@@ -607,6 +609,12 @@ class TestMalformedInputs:
             checkpoint.write_bytes(raw_entry("config:d", 2, 3, (0, 2**32 - 1, 2**32 - 1)))
         elif fault == "rank_above_64":  # zero elements, so no payload is needed
             checkpoint.write_bytes(raw_entry("config:d", 2, 65, (0,) + (1,) * 64))
+        elif fault == "second_global_block":  # written when the global depth was a setting
+            entries = data_io.read_container(checkpoint)
+            entries["config:global_blocks"] = np.array([2.0])
+            entries.update({name.replace("block0", "block1"): arr for name, arr in entries.items()
+                            if name.startswith("param:global/block0/")})
+            data_io.write_container(checkpoint, entries)
         else:
             key, value = {
                 "inf_value": ("config:d", [np.inf]),
@@ -619,8 +627,6 @@ class TestMalformedInputs:
                 "heads_do_not_divide_d": ("config:heads", [3.0]),
                 "nan_parameter": ("param:pred/b", [np.nan] * 10),
                 "neighbor_blocks_negative": ("config:neighbor_blocks", [-1.0]),
-                "global_blocks_negative": ("config:global_blocks", [-1.0]),
-                "fusion_blocks_negative": ("config:fusion_blocks", [-1.0]),
                 "dropout_above_one": ("config:dropout", [1.5]),
                 "neighbor_tokens_zero": ("config:neighbor_tokens", [0.0]),
                 "d_ff_negative": ("config:d_ff", [-16.0]),
@@ -879,3 +885,107 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "default" in out
+
+
+# A run config for the fuzz: one epoch, so each mutated train run is short.
+FUZZ_RUN_CONFIG = RUN_CONFIG.replace("epochs = 3\n", "epochs = 1\n")
+FUZZ_TOKENS = [b"", b"0", b"-1", b"2", b"1.5", b"nan", b"inf", b"1e400", b"x", b"=", b"[x]",
+               b"\xff", b"\xc3", b"\xed\xa0\x80"]  # the last three are not UTF-8
+FUZZ_TEXT = ["study/manifest.ini", "study/genes.txt", "study/columns.txt", "study/S00_coords.tsv",
+             "study/S01_coords.tsv", "run.ini", "pred/genes.txt"]
+FUZZ_CONTAINERS = ["study/S00_local.gdml", "study/S00_neighbor.gdml", "study/S01_expression.gdml",
+                   "run/fold0_final.gdml", "pred/predictions.gdml"]
+STUDY_COMMANDS = ["train", "eval", "eval-predictions", "predict"]
+
+
+def fuzz_commands(target):
+    """The commands that read ``target``."""
+    if target == "run.ini":
+        return ["train"]
+    if target == "run/fold0_final.gdml":
+        return ["eval", "predict"]
+    if target.startswith("pred/"):
+        return ["eval-predictions", "render"] if target.endswith(".gdml") else ["render"]
+    return STUDY_COMMANDS
+
+
+def mutate_text(rng, blob):
+    """One line delete, duplicate or swap, or one token substituted by a
+    nasty token or by another token of the same file."""
+    lines = blob.split(b"\n")
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    kind = rng.choice(["delete", "duplicate", "swap", "token"])
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = re.split(rb"([\s=]+)", lines[i])
+        own = [t for t in re.split(rb"[\s=]+", blob) if t]
+        pool = FUZZ_TOKENS if rng.random() < 0.5 or not own else own
+        tokens[2 * rng.randrange((len(tokens) + 1) // 2)] = rng.choice(pool)
+        lines[i] = b"".join(tokens)
+    return b"\n".join(lines)
+
+
+def trains_at_default_size(config):
+    """A run config that parses but has lost its `d` or `epochs` key would
+    train a 512-wide model for 200 epochs: too long for the fuzz."""
+    try:
+        _, _, model_kwargs, train_kwargs = cli._load_run_config(config)
+    except cli.ConfigError:
+        return False
+    return "d" not in model_kwargs or "epochs" not in train_kwargs
+
+
+def fuzz_argv(command, root):
+    """``command`` on the study, run config, checkpoint and predictions under ``root``."""
+    manifest = ["--manifest", str(root / "study" / "manifest.ini")]
+    checkpoint = ["--checkpoint", str(root / "run" / "fold0_final.gdml")]
+    predictions = ["--predictions", str(root / "pred" / "predictions.gdml")]
+    return {
+        "train": ["train", "--config", str(root / "run.ini")],
+        "eval": ["eval", *checkpoint, *manifest, "--out", str(root / "e")],
+        "eval-predictions": ["eval", *predictions, *manifest, "--out", str(root / "e")],
+        "predict": ["predict", *checkpoint, *manifest, "--out", str(root / "pred")],
+        "render": ["render", *predictions, "--gene", "gene_0003", "--out", str(root / "g.svg")],
+    }[command]
+
+
+class TestFuzz:
+    def test_seeded_mutations_exit_with_documented_codes(self, tmp_path, capsys):
+        # one study, checkpoint and predictions; each round copies them,
+        # mutates one text file or flips one container header byte, and runs
+        # one command that reads it, in process
+        base, work = tmp_path / "base", tmp_path / "work"
+        base.mkdir()
+        (base / "synth.ini").write_text(SYNTH_SPEC)
+        (base / "run.ini").write_text(FUZZ_RUN_CONFIG)
+        assert main(["simulate", "--spec", str(base / "synth.ini"), "--out", str(base / "study")]) == 0
+        assert main(fuzz_argv("train", base)) == 0
+        assert main(fuzz_argv("predict", base)) == 0
+        rng = random.Random(20261019)
+        codes, rounds = {}, 0
+        while rounds < 400:
+            shutil.copytree(base, work)
+            target = rng.choice(FUZZ_TEXT + FUZZ_CONTAINERS)
+            blob = (work / target).read_bytes()
+            if target in FUZZ_TEXT:
+                blob = mutate_text(rng, blob)
+            else:
+                at = rng.choice(container_layout(blob)[0])
+                blob = blob[:at] + bytes([rng.choice([0x00, 0x7F, 0xFF, blob[at] ^ 1])]) + blob[at + 1 :]
+            (work / target).write_bytes(blob)
+            command = rng.choice(fuzz_commands(target))
+            if not (command == "train" and trains_at_default_size(work / "run.ini")):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # dropped zero-total spots
+                    code = main(fuzz_argv(command, work))
+                assert code in (0, 2, 3, 4, 5), (target, blob, command, capsys.readouterr().err)
+                codes[code] = codes.get(code, 0) + 1
+                rounds += 1
+            shutil.rmtree(work)
+        capsys.readouterr()
+        assert {0, 2, 3} <= set(codes), codes

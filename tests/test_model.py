@@ -23,8 +23,6 @@ def tiny_config(**overrides):
         d=4,
         heads=2,
         neighbor_blocks=1,
-        global_blocks=1,
-        fusion_blocks=1,
         d_ff=8,
         dropout=0.0,
         neighbor_tokens=4,
@@ -121,8 +119,8 @@ class TestModelConfig:
         with pytest.raises(ContractError, match=">= 1"):
             tiny_config(**sizes)
 
-    @pytest.mark.parametrize("sizes", [dict(neighbor_blocks=-1), dict(global_blocks=-1),
-                                       dict(fusion_blocks=-2), dict(d_ff=-3)])
+    @pytest.mark.parametrize("sizes", [dict(neighbor_blocks=-1), dict(d_ff=-1),
+                                       dict(neighbor_blocks=-2), dict(d_ff=-3)])
     def test_negative_counts_rejected(self, sizes):
         with pytest.raises(ContractError, match=">= 0"):
             tiny_config(**sizes)
@@ -133,8 +131,7 @@ class TestModelConfig:
             tiny_config(dropout=rate)
 
     def test_zero_blocks_and_rate_accepted(self):
-        cfg = tiny_config(neighbor_blocks=0, global_blocks=0, fusion_blocks=0, dropout=0.0,
-                          neighbor_tokens=1, d_ff=0)
+        cfg = tiny_config(neighbor_blocks=0, dropout=0.0, neighbor_tokens=1, d_ff=0)
         assert cfg.d_ff == 4 * cfg.d
 
 
@@ -372,17 +369,16 @@ class TestModelInvariants:
         after = model.forward_image(model.as_tensors(loaded), batch, cfg2).data
         assert before.tobytes() == after.tobytes()
 
-    def test_checkpoint_with_fusion_mode_entry_loads_same_bits(self, tmp_path):
-        # checkpoints from before fusion was always the token mean also store
-        # config:fusion_mode, 0.0 for "mean"; the loader ignores the entry
+    @staticmethod
+    def assert_legacy_checkpoint_loads_same_bits(tmp_path, seed, legacy_entries):
+        # save a checkpoint, rewrite its entries as an older version wrote
+        # them, and check that it loads to the same parameters and predictions
         cfg = tiny_config()
-        params = model.init_params(cfg, 43)
-        batch = make_batch(cfg, 5, seed=43)
+        params = model.init_params(cfg, seed)
+        batch = make_batch(cfg, 5, seed=seed)
         path = tmp_path / "model.gdml"
         model.save_checkpoint(path, params, cfg)
-        entries = data_io.read_container(path)
-        entries["config:fusion_mode"] = np.array([0.0])
-        data_io.write_container(path, entries)
+        data_io.write_container(path, legacy_entries(data_io.read_container(path)))
 
         loaded, cfg2 = model.load_checkpoint(path)
         assert cfg2 == cfg
@@ -390,6 +386,27 @@ class TestModelInvariants:
         assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
         before = trainer.infer(params, cfg, batch)
         assert trainer.infer(loaded, cfg2, batch).tobytes() == before.tobytes()
+
+    def test_checkpoint_with_fusion_mode_entry_loads_same_bits(self, tmp_path):
+        # checkpoints from before fusion was always the token mean also store
+        # config:fusion_mode, 0.0 for "mean"; the loader ignores the entry
+        self.assert_legacy_checkpoint_loads_same_bits(
+            tmp_path, 43, lambda entries: {**entries, "config:fusion_mode": np.array([0.0])})
+
+    def test_checkpoint_with_block_count_entries_loads_same_bits(self, tmp_path):
+        # checkpoints from before the global and fusion blocks were fixed at
+        # one each store config:global_blocks and config:fusion_blocks, 1.0
+        # each, right after config:neighbor_blocks; the loader ignores both
+        def legacy_entries(entries):
+            legacy = {}
+            for name, arr in entries.items():
+                legacy[name] = arr
+                if name == "config:neighbor_blocks":
+                    legacy["config:global_blocks"] = np.array([1.0])
+                    legacy["config:fusion_blocks"] = np.array([1.0])
+            return legacy
+
+        self.assert_legacy_checkpoint_loads_same_bits(tmp_path, 44, legacy_entries)
 
     def test_spot_blocks_keep_inference_bits(self, monkeypatch):
         cfg = tiny_config(d_in=16, d=24, heads=4, d_ff=48, neighbor_tokens=25)

@@ -41,9 +41,10 @@ class TestLrSchedule:
         assert trainer.lr_schedule(40, cfg) == 1e-4 * 0.95**2
 
     def test_closed_form_sequence(self):
-        cfg = trainer.TrainConfig(lr=3e-3, decay=0.9, decay_every=5)
-        for epoch in range(30):
-            assert trainer.lr_schedule(epoch, cfg) == 3e-3 * 0.9 ** (epoch // 5)
+        cfg = trainer.TrainConfig(lr=3e-3)
+        assert (trainer.LR_DECAY, trainer.LR_DECAY_EVERY) == (0.95, 20)
+        for epoch in range(100):
+            assert trainer.lr_schedule(epoch, cfg) == 3e-3 * 0.95 ** (epoch // 20)
 
     def test_negative_epoch(self):
         with pytest.raises(ContractError):
