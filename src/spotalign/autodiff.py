@@ -12,7 +12,7 @@ A :class:`Tape` is single-owner while recording and during backward; distinct
 tapes may be used from distinct threads.  Operations whose inputs are all
 constants (no tape) stay off any tape and just return a constant result, and
 no op computes a gradient for a constant operand.  Attention scores a head in
-row blocks, keeping every head's T×T scores only when taped, for the backward.
+query-row blocks of at most 1 MiB and keeps all T×T scores only when taped.
 
 The sweep contract: a tape is swept by :meth:`Tape.backward` once.  The sweep
 releases each node's closure, and with it the forward buffers the closure
@@ -34,8 +34,7 @@ from .errors import ContractError, ShapeError
 # tanh-form GELU constant: sqrt(2/pi)
 GELU_COEF = 0.7978845608028654
 GELU_CUBIC = 0.044715
-_SOFTMAX_BLOCK = 1 << 17  # scores (1 MiB) scaled and soft-maxed per pass
-_SCORE_BLOCK = 1 << 22  # bytes of one head's scores per query-row block
+_SCORE_BLOCK = 1 << 20  # bytes of one head's scores per query-row block: fits in cache
 
 
 class Tape:
@@ -459,8 +458,8 @@ def attention(q, k, v, heads: int) -> DiffTensor:
     S = q kᵀ / sqrt(dh) per head and merges the heads of P v back to
     (B, T, d).  The backward uses the closed-form softmax Jacobian of
     Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).  One forward scores
-    each head in equal query-row blocks of at most ``_SCORE_BLOCK`` bytes (Rabe
-    & Staats, 2021) and soft-maxes them in cache-sized sub-blocks.  A taped call
+    each head in equal query-row blocks of at most ``_SCORE_BLOCK`` (1 MiB) of
+    scores (Rabe & Staats, 2021) and soft-maxes each block whole.  A taped call
     writes every head's P for the backward, an untaped one reuses one block's
     buffer: O(B·T·d + one block) memory, the same bits.  A head that fits in one
     block keeps a whole-head product's bits.
@@ -484,7 +483,6 @@ def attention(q, k, v, heads: int) -> DiffTensor:
     # equal blocks: a short tail block would take another BLAS kernel and round differently
     blocks = max(1, -(-b * t * t * 8 // _SCORE_BLOCK))
     rows = max(1, -(-t // blocks))
-    step = max(1, _SOFTMAX_BLOCK // max(1, b * t))  # query rows per softmax block
     # taped: every head's P, head-major so each is contiguous; untaped: one block's scores
     ph = np.empty((heads, b, t, t) if taped else (b, rows, t))
     context = np.empty((b, heads, t, dh))
@@ -495,10 +493,8 @@ def attention(q, k, v, heads: int) -> DiffTensor:
             # batched matmul runs one gemm per (b, h) slice, so a one-block head keeps the
             # bits of a whole-head product; scaling and softmax act per row, so blocks do
             np.matmul(qr, np.swapaxes(kh[:, i], -1, -2), out=p)
-            for s in range(0, qr.shape[1], step):
-                block = p[:, s : s + step]
-                block *= scale
-                softmax_rows(block)
+            p *= scale
+            softmax_rows(p)
             np.matmul(p, vh[:, i], out=context[:, i, r : r + rows])
 
     def backward(g: np.ndarray):

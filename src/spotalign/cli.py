@@ -159,6 +159,8 @@ def _fold_pool(jobs: int):
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     manifest, out_dir, model_kwargs, train_kwargs = _load_run_config(args.config)
     batches = _load_samples(manifest, scored=True)  # every sample is in some test fold
     first = batches[0]

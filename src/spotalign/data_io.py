@@ -301,9 +301,9 @@ def write_coords(path, spot_ids: list[str], coords: np.ndarray) -> None:
 def load_study(manifest_path) -> list[SpotBatch]:
     """Load every sample in a manifest, cross-checking dimensions.
 
-    Image features must be finite, and every sample must have the first
-    sample's feature dimension and neighbor-token count.  Zero-total spots
-    are dropped during preprocessing.
+    Image features must be finite and counts finite and >= 0, and every sample
+    must have the first sample's feature dimension and neighbor-token count.
+    Zero-total spots are dropped during preprocessing.
     """
     manifest_path = Path(manifest_path)
     parser = read_ini(manifest_path)
@@ -359,6 +359,8 @@ def load_study(manifest_path) -> list[SpotBatch]:
             raise DataError(
                 f"{expr_path}: {counts.shape[1]} gene columns, expected {len(column_names)}"
             )
+        if not np.all(np.isfinite(counts)) or np.any(counts < 0):
+            raise DataError(f"{expr_path}: counts must be finite and >= 0")
         if first is None:  # every sample must have the first one's per-spot shapes
             first = sid, local.shape[1:], (neighbor.shape[1], local.shape[1])
         for path, arr, want in ((local_path, local, first[1]), (neighbor_path, neighbor, first[2])):

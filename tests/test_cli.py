@@ -411,15 +411,18 @@ class TestTrainPipeline:
     @pytest.mark.parametrize("key,value", [
         ("lambda", "nan"), ("multi_ins_weight", "nan"), ("tau_ig", "inf"),
         ("kmeans_n_init", "0"), ("kmeans_n_init", "-2"), ("lr", "nan"), ("tau", "nan"),
-        ("seed", "-1"),
+        ("seed", "-1"), ("--jobs", "0"), ("--jobs", "-3"),
     ])
     def test_impossible_train_value_exits_2(self, study_dir, capsys, key, value):
         field = {alias: name for name, alias in ALIASES.items()}.get(key, key)
         section = "loss" if field in LOSS_FIELDS else "train"
+        flags = [key, value] if key.startswith("--") else []  # a command-line flag
         config = study_dir / "run.ini"
         text = re.sub(rf"^{key} = .*\n", "", RUN_CONFIG, flags=re.M)
-        config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
-        assert main(["train", "--config", str(config)]) == 2
+        if not flags:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        config.write_text(text)
+        assert main(["train", "--config", str(config), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and err.count("\n") == 1, err
         assert field in err, err
@@ -488,16 +491,16 @@ def assert_one_data_error(code, err):
 
 
 def container_layout(blob):
-    """Byte offsets of every header field (file and entry headers) of a valid
-    container, and each entry's payload byte range."""
-    header, payloads, offset = list(range(10)), {}, 10
+    """Byte ranges of the header fields of a valid container, keyed by entry
+    name ("" for the file header), and each entry's payload byte range."""
+    header, payloads, offset = {"": range(10)}, {}, 10
     for _ in range(struct.unpack_from("<I", blob, 6)[0]):
         (name_len,) = struct.unpack_from("<H", blob, offset)
         name = blob[offset + 2 : offset + 2 + name_len].decode()
         tag, rank = struct.unpack_from("<BB", blob, offset + 2 + name_len)
         dims = struct.unpack_from(f"<{rank}I", blob, offset + 4 + name_len)
         start = offset + 4 + name_len + 4 * rank
-        header.extend(range(offset, start))
+        header[name] = range(offset, start)
         offset = start + math.prod(dims) * {1: 4, 2: 8, 3: 4}[tag]
         payloads[name] = range(start, offset)
     assert offset == len(blob)
@@ -561,13 +564,18 @@ class TestMalformedInputs:
         # every header byte and every config payload byte of a small
         # checkpoint, set to 0x00, 0xff, 0x7f and to itself with bit 0 flipped;
         # no neighbor blocks, so 60 entries, and neighbor_blocks reads 0.0,
-        # which corrupts to counts as large as 5e303.  Then every payload byte
-        # of two small parameter entries with bit 0 flipped.
+        # which corrupts to counts as large as 5e303.  The 32 global and fusion
+        # block headers share one layout, so of each block only one rank-1 and
+        # one rank-2 header.  Then every payload byte of two small parameter
+        # entries with bit 0 flipped.
         cfg = ModelConfig(n_genes=2, d_in=2, d=2, heads=1, neighbor_blocks=0, d_ff=2)
         path = tmp_path / "ck.gdml"
         model.save_checkpoint(path, model.init_params(cfg, 0), cfg)
         blob = path.read_bytes()
         header, payloads = container_layout(blob)
+        blocks, kept = ("param:global/block0/", "param:fusion/block0/"), ("ln1/g", "attn/wq")
+        header = [i for name, span in header.items()
+                  if not name.startswith(blocks) or name.endswith(kept) for i in span]
         config = [i for name, span in payloads.items() if name.startswith("config:") for i in span]
         params = [i for name in ("param:proj_local/w", "param:gene/enc/b1") for i in payloads[name]]
         bad = tmp_path / "bad.gdml"
@@ -716,15 +724,20 @@ class TestMalformedInputs:
         ("inf_neighbor", "S01_neighbor.gdml"),
         ("d_in", "S01_local.gdml"),
         ("tokens", "S01_neighbor.gdml"),
+        ("nan_counts", "S01_expression.gdml"),
+        ("inf_counts", "S01_expression.gdml"),
+        ("negative_count", "S01_expression.gdml"),
+        ("negative_zero_total", "S01_expression.gdml"),
     ])
     def test_bad_image_features_exit_3_naming_the_file(
         self, study_dir, capsys, command, fault, file
     ):
         study = study_dir / "study"
 
-        def rewrite(entry, change):
+        def rewrite(entry, change, name=None):
             path = study / f"S01_{entry}.gdml"
-            data_io.write_container(path, {entry: change(data_io.read_container(path)[entry])})
+            name = name or entry
+            data_io.write_container(path, {name: change(data_io.read_container(path)[name])})
 
         if fault == "nan_local":
             rewrite("local", lambda a: np.where(a == a.flat[7], np.nan, a))
@@ -733,12 +746,25 @@ class TestMalformedInputs:
         elif fault == "d_in":
             rewrite("local", lambda a: a[:, :-1])
             rewrite("neighbor", lambda a: a[:, :, :-1])
-        else:
+        elif fault == "tokens":
             rewrite("neighbor", lambda a: a[:, :-1])
+        else:
+            # one NaN, one inf, a negative count in a spot with a positive total, and a
+            # spot of (-4, 4, 0, ...) whose zero total preprocessing would have dropped
+            def spot3(a):
+                a = a.astype(np.float64)
+                if fault == "negative_zero_total":
+                    a[3] = 0.0
+                a[3, :2] = {"nan_counts": (np.nan, 1.0), "inf_counts": (np.inf, 1.0),
+                            "negative_count": (-1.0, 5.0), "negative_zero_total": (-4.0, 4.0)}[fault]
+                return a
+
+            rewrite("expression", spot3, name="counts")
         code = run_on_study(command, study_dir)
         err = capsys.readouterr().err
         assert_one_data_error(code, err)
         assert file in err
+        assert not (study_dir / "run").exists() and not (study_dir / "p").exists()
 
 
 class TestTextInputs:
@@ -975,7 +1001,7 @@ class TestFuzz:
             if target in FUZZ_TEXT:
                 blob = mutate_text(rng, blob)
             else:
-                at = rng.choice(container_layout(blob)[0])
+                at = rng.choice([i for span in container_layout(blob)[0].values() for i in span])
                 blob = blob[:at] + bytes([rng.choice([0x00, 0x7F, 0xFF, blob[at] ^ 1])]) + blob[at + 1 :]
             (work / target).write_bytes(blob)
             command = rng.choice(fuzz_commands(target))
