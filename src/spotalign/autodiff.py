@@ -11,8 +11,8 @@ the same seed reproduce gradients bitwise.
 A :class:`Tape` is single-owner while recording and during backward; distinct
 tapes may be used from distinct threads.  Operations whose inputs are all
 constants (no tape) stay off any tape and just return a constant result, and
-no op computes a gradient for a constant operand.  Attention scores a head in
-query-row blocks of at most 1 MiB and keeps all T×T scores only when taped.
+no op computes a gradient for a constant operand.  Attention scores heads in
+blocks of at most 1 MiB and keeps all T×T scores only when taped.
 
 The sweep contract: a tape is swept by :meth:`Tape.backward` once.  The sweep
 releases each node's closure, and with it the forward buffers the closure
@@ -24,6 +24,7 @@ gradients may alias views of one another.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -34,7 +35,7 @@ from .errors import ContractError, ShapeError
 # tanh-form GELU constant: sqrt(2/pi)
 GELU_COEF = 0.7978845608028654
 GELU_CUBIC = 0.044715
-_SCORE_BLOCK = 1 << 20  # bytes of one head's scores per query-row block: fits in cache
+_SCORE_BLOCK = 1 << 20  # bytes of attention scores per block: fits in cache
 
 
 class Tape:
@@ -458,11 +459,11 @@ def attention(q, k, v, heads: int) -> DiffTensor:
     S = q kᵀ / sqrt(dh) per head and merges the heads of P v back to
     (B, T, d).  The backward uses the closed-form softmax Jacobian of
     Vaswani et al. (2017): dS = P ⊙ (dP − rowsum(dP ⊙ P)).  One forward scores
-    each head in equal query-row blocks of at most ``_SCORE_BLOCK`` (1 MiB) of
-    scores (Rabe & Staats, 2021) and soft-maxes each block whole.  A taped call
-    writes every head's P for the backward, an untaped one reuses one block's
-    buffer: O(B·T·d + one block) memory, the same bits.  A head that fits in one
-    block keeps a whole-head product's bits.
+    heads in blocks of at most ``_SCORE_BLOCK`` (1 MiB) of scores (Rabe & Staats,
+    2021), each soft-maxed whole: whole heads of several batch items, or equal
+    query-row slices of a head that alone is larger.  A taped call writes every
+    head's P for the backward, an untaped one reuses one block's buffer: O(B·T·d +
+    one block) memory, the same bits.  Unsliced heads (T ≤ 362) keep whole-head bits.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
@@ -480,22 +481,21 @@ def attention(q, k, v, heads: int) -> DiffTensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     taped = any(x.tape is not None for x in (q, k, v))
-    # equal blocks: a short tail block would take another BLAS kernel and round differently
-    blocks = max(1, -(-b * t * t * 8 // _SCORE_BLOCK))
-    rows = max(1, -(-t // blocks))
+    # equal row slices: a short tail slice would take another BLAS kernel and round differently
+    head = max(1, t * t * 8)  # bytes of one batch item's head of scores
+    items, rows = max(1, _SCORE_BLOCK // head), max(1, -(-t // -(-head // _SCORE_BLOCK)))
     # taped: every head's P, head-major so each is contiguous; untaped: one block's scores
-    ph = np.empty((heads, b, t, t) if taped else (b, rows, t))
+    ph = np.empty((heads, b, t, t) if taped else (min(b, items), rows, t))
     context = np.empty((b, heads, t, dh))
-    for i in range(heads):
-        for r in range(0, t, rows):
-            qr = qh[:, i, r : r + rows]
-            p = ph[i, :, r : r + rows] if taped else ph[:, : qr.shape[1]]
-            # batched matmul runs one gemm per (b, h) slice, so a one-block head keeps the
-            # bits of a whole-head product; scaling and softmax act per row, so blocks do
-            np.matmul(qr, np.swapaxes(kh[:, i], -1, -2), out=p)
-            p *= scale
-            softmax_rows(p)
-            np.matmul(p, vh[:, i], out=context[:, i, r : r + rows])
+    for i, s, r in itertools.product(range(heads), range(0, b, items), range(0, t, rows)):
+        qr = qh[s : s + items, i, r : r + rows]
+        p = ph[i, s : s + items, r : r + rows] if taped else ph[: len(qr), : qr.shape[1]]
+        # batched matmul runs one gemm per batch item, so unsliced heads keep the bits
+        # of a whole-head product; scaling and softmax act per row, so slices do too
+        np.matmul(qr, np.swapaxes(kh[s : s + items, i], -1, -2), out=p)
+        p *= scale
+        softmax_rows(p)
+        np.matmul(p, vh[s : s + items, i], out=context[s : s + items, i, r : r + rows])
 
     def backward(g: np.ndarray):
         probs = np.swapaxes(ph, 0, 1)  # (B, H, T, T)

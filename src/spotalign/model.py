@@ -14,7 +14,7 @@ positional encoding, so it is permutation-equivariant over spots.  It sees a
 minibatch in training but the whole slide at inference, as in TRIPLEX; on the
 acceptance ablation whole-slide context scores PCC(A) at or above 200-spot
 blocks.  Untaped passes encode neighbor tokens in 64-spot blocks and score
-attention in query-row blocks of at most 1 MiB, as a taped pass does, with
+attention in blocks of at most 1 MiB of scores, as a taped pass does, with
 its bits: O(N·d) memory plus one block of scores.
 Every neighbor-encoder op acts per spot, so any block size gives the bits
 of one pass.  At 64 spots a block's (64, 25, d_ff) float64 FFN buffers fit

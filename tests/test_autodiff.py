@@ -352,9 +352,14 @@ class TestFusedPrimitives:
         assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
 
     # (B, T, d, heads): the neighbor, global and fusion blocks at the acceptance
-    # config (batch 200, d=24, a 400-spot slide), then small and T = 1 cases
-    ATTENTION_SHAPES = [(200, 25, 24, 4), (1, 400, 24, 4), (200, 3, 24, 4), (5, 7, 8, 2),
-                        (3, 4, 6, 1), (4, 1, 6, 3), (2, 1, 5, 1)]
+    # config (batch 200, d=24, a 400-spot slide); neighbor blocks at the default
+    # batch of 256 (2 batch blocks) and at 1000 spots (5); the largest slide whose
+    # head is one block; then small and T = 1 cases.  A (1, 400) head is 2 query-row
+    # slices, so its match with a whole-head product depends on the BLAS, not on
+    # construction: it held with numpy's bundled OpenBLAS 0.3.31 (Haswell kernels).
+    ATTENTION_SHAPES = [(200, 25, 24, 4), (1, 400, 24, 4), (200, 3, 24, 4), (256, 25, 24, 4),
+                        (1000, 25, 24, 4), (1, 362, 24, 4), (5, 7, 8, 2), (3, 4, 6, 1),
+                        (4, 1, 6, 3), (2, 1, 5, 1)]
 
     @pytest.mark.parametrize("b,t,d,heads", ATTENTION_SHAPES)
     def test_attention_matches_composite_bytewise(self, b, t, d, heads):
@@ -365,9 +370,9 @@ class TestFusedPrimitives:
         for g, w in zip(got, want):  # output, then the q, k and v gradients
             assert_same_bytes(g, w)
 
-    # both paths share one forward, which scores a head in equal query-row blocks
-    # (an untaped call reuses one block's buffer); a head that fits in one block
-    # keeps the bits of a whole-head product, and (1, 3000) splits into 69 blocks
+    # both paths share one forward, which scores heads in blocks (an untaped call
+    # reuses one block's buffer); (2, 401) slices each item's head into 2 blocks,
+    # and (1, 3000) slices its head into 69
     @pytest.mark.parametrize("b,t,d,heads", ATTENTION_SHAPES + [(1, 401, 24, 4), (2, 401, 24, 4),
                                                                 (1, 512, 24, 4), (1, 1000, 32, 8),
                                                                 (1, 3000, 24, 4)])
@@ -386,7 +391,7 @@ class TestFusedPrimitives:
         rng = np.random.default_rng(blocks * t + b)
         q, k, v = (rng.normal(size=(b, t, 24)) * 2.0 for _ in range(3))
         want = output_and_grads(lambda *qkv: ref_attention(*qkv, 4), q, k, v)
-        monkeypatch.setattr(ad, "_SCORE_BLOCK", -(-b * t * t * 8 // blocks))
+        monkeypatch.setattr(ad, "_SCORE_BLOCK", -(-t * t * 8 // blocks))  # slices per head
         got = output_and_grads(lambda *qkv: ad.attention(*qkv, 4), q, k, v)
         for g, w in zip(got, want):  # output, then the q, k and v gradients
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
@@ -394,6 +399,21 @@ class TestFusedPrimitives:
         assert_same_bytes(untaped, got[0])
         # one block of scores (its row count rounded up), then inputs, context and output
         assert peak < ad._SCORE_BLOCK + b * t * 8 + 5 * q.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+    # a block of whole heads of `items` batch items keeps the bits of a whole-head
+    # product by construction; at dh = 128 (the default d = 512, 4 heads) slicing
+    # the query rows instead would round differently
+    @pytest.mark.parametrize("items", [1, 2, 3, 7])
+    def test_batch_blocks_keep_whole_head_bits(self, monkeypatch, items):
+        rng = np.random.default_rng(items)
+        q, k, v = (rng.normal(size=(7, 25, 512)) for _ in range(3))
+        want = output_and_grads(lambda *qkv: ref_attention(*qkv, 4), q, k, v)
+        monkeypatch.setattr(ad, "_SCORE_BLOCK", items * 25 * 25 * 8 + 7)
+        got = output_and_grads(lambda *qkv: ad.attention(*qkv, 4), q, k, v)
+        for g, w in zip(got, want):  # output, then the q, k and v gradients
+            assert_same_bytes(g, w)
+        untaped = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 4)
+        assert_same_bytes(untaped.data, got[0])
 
     def test_untaped_attention_memory_is_bounded_by_a_score_block(self):
         # a whole (1, 2000, 2000) head of scores would be 32 MB
