@@ -27,6 +27,7 @@ import os
 import stat
 import struct
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,7 +215,8 @@ def preprocess_expression(
 
     Each spot's counts are scaled by ``scale / total`` where the total runs
     over ALL columns (before selection), then mapped through log(1 + x).
-    Spots whose total count is zero are dropped and counted.
+    Spots whose total count is zero are dropped and counted; counts so large
+    that a total or a scaled count overflows raise.
     """
     index = {name: i for i, name in enumerate(column_names)}
     missing = [g for g in gene_list if g not in index]
@@ -226,10 +228,13 @@ def preprocess_expression(
             f"count matrix has shape {raw.shape}, expected N x {len(column_names)}"
         )
     cols = [index[g] for g in gene_list]
-    totals = raw.sum(axis=1)
-    keep = totals > 0
-    selected = raw[keep][:, cols]
-    expr = np.log1p(scale * selected / totals[keep, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        totals = raw.sum(axis=1)
+        keep = totals > 0
+        selected = raw[keep][:, cols]
+        expr = np.log1p(scale * selected / totals[keep, None])
+    if not (np.all(totals < np.inf) and np.all(expr < np.inf)):
+        raise DataError(f"counts must be finite, >= 0 and small enough to normalize, largest {raw.max()!r}")
     return PreprocessResult(expr, keep, int((~keep).sum()))
 
 
@@ -260,8 +265,12 @@ def read_ini(path, error: type[Exception] = DataError) -> configparser.ConfigPar
 
 
 def read_gene_list(path) -> list[str]:
+    """One name per line, blank and ``#`` lines skipped; a repeated name raises."""
     lines = [ln.strip() for ln in read_text(path).splitlines()]
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+    names = [ln for ln in lines if ln and not ln.startswith("#")]
+    if len(set(names)) < len(names):
+        raise DataError(f"{path}: repeated name {Counter(names).most_common(1)[0][0]!r}")
+    return names
 
 
 def write_gene_list(path, names: list[str]) -> None:
@@ -370,9 +379,12 @@ def load_study(manifest_path) -> list[SpotBatch]:
                 raise DataError(f"{path}: per-spot shape {arr.shape[1:]}, "
                                 f"expected {want} as in sample {first[0]}")
 
-        batches.append(_spot_batch(
-            sid, entry["patient"], local, neighbor, counts, coords, column_names, gene_list
-        ))
+        try:  # preprocessing errors name no file
+            batches.append(_spot_batch(
+                sid, entry["patient"], local, neighbor, counts, coords, column_names, gene_list
+            ))
+        except DataError as exc:
+            raise DataError(f"{expr_path}: {exc}") from None
     return batches
 
 

@@ -1,5 +1,6 @@
 """Feature-grouping branch: per-modality projection, K-means on
-unit-normalized vectors, and cross-modal nearest-centroid assignment.
+unit-normalized vectors (seeded k-means++ restarts, or one Lloyd run from
+given centroids), and cross-modal nearest-centroid assignment.
 
 Centroids are means of normalized member rows and are deliberately not
 re-normalized, so dot-product similarity against them also encodes cluster
@@ -53,10 +54,11 @@ def group_project(p: dict[str, DiffTensor], e_ins, modality: str) -> DiffTensor:
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; a row of all zeros raises."""
-    sq = (x * x).sum(axis=-1, keepdims=True)
-    if np.any(sq == 0.0):
-        raise ContractError("l2_normalize_rows: zero row (degenerate embedding)")
+    """Scale each row to unit Euclidean norm; a zero or overflowing squared norm raises."""
+    with np.errstate(over="ignore"):
+        sq = (x * x).sum(axis=-1, keepdims=True)
+    if not np.all((sq > 0.0) & (sq < np.inf)):
+        raise ContractError("l2_normalize_rows: zero row or squared norm overflow")
     return x * sq ** -0.5
 
 
@@ -95,8 +97,9 @@ def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray):
     return assign, ((points - centroids[assign]) ** 2).sum(axis=-1)
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
-    centroids = _kmeans_pp_init(points, k, rng)
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator | None, centroids=None):
+    if centroids is None:
+        centroids = _kmeans_pp_init(points, k, rng)
     sq_norms = (points * points).sum(axis=-1)
     d = points.shape[1]
     n_iter = 0
@@ -130,13 +133,16 @@ def kmeans(
     seed: int,
     normalize: bool = True,
     n_init: int = 10,
+    init: np.ndarray | None = None,
 ) -> GroupState:
     """Seeded k-means++ / Lloyd clustering of grouping features.
 
     Rows are l2-normalized first unless ``normalize`` is off (raw mode).
     ``n_init`` restarts run with seeds derived from ``seed``; the lowest
-    inertia wins, ties going to the earliest restart.  Empty clusters are
-    repaired by reseeding from the point farthest from its centroid.
+    inertia wins, ties going to the earliest restart.  Given ``init``, a finite
+    k x d array of starting centroids, one Lloyd run starts from it instead
+    (``seed`` and ``n_init`` unused).  Empty clusters are repaired by
+    reseeding from the point farthest from its centroid.
     """
     points = np.asarray(e_clu, dtype=np.float64)
     if points.ndim != 2:
@@ -150,15 +156,20 @@ def kmeans(
         raise ContractError(f"k={k} exceeds the number of points n={n}")
     if not np.all(np.isfinite(points)):
         raise ContractError("kmeans requires finite inputs")
+    if init is not None and (np.shape(init) != (k, points.shape[1]) or not np.all(np.isfinite(init))):
+        raise ContractError(f"init must be a finite {k} x {points.shape[1]} array, got {np.shape(init)}")
     if normalize:
         points = l2_normalize_rows(points)
 
-    best = None
-    for restart in range(n_init):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-        result = _lloyd(points, k, rng)
-        if best is None or result[2] < best[2]:
-            best = result
+    if init is not None:
+        best = _lloyd(points, k, None, np.asarray(init, dtype=np.float64))
+    else:
+        best = None
+        for restart in range(n_init):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
+            result = _lloyd(points, k, rng)
+            if best is None or result[2] < best[2]:
+                best = result
     centroids, assign, inertia, n_iter, trace = best
     return GroupState(
         centroids=centroids,

@@ -1,7 +1,8 @@
 """Optimization loop: patient-grouped folds, Adam with step decay, centroid
-refresh per batch or per epoch, and ``train_fold``, which runs one
-``_train_step`` per batch of each epoch's ``_schedule`` (a ``_FoldState``
-carries what one step hands the next) and scores the final parameters once.
+refresh per batch (warm-started from the previous step's centroids) or per
+epoch, and ``train_fold``, which runs one ``_train_step`` per batch of each
+epoch's ``_schedule`` (a ``_FoldState`` carries what one step hands the next)
+and scores the final parameters once.
 
 Every random stream (init, shuffling, dropout, clustering) is derived from
 the config seed plus structural indices, so a full training run is a pure
@@ -39,7 +40,7 @@ class TrainConfig:
     multi_ins_weight: float = 1.0
     n_folds: int = 2
     cluster_refresh: str = "batch"  # "batch" or "epoch"
-    kmeans_n_init: int = 10
+    kmeans_n_init: int = 10  # restarts of every epoch-mode fit and of a fold's first batch-mode fit
 
     def __post_init__(self):
         check_fields(self, (("batch_size", 1), ("epochs", 1), ("k", 1), ("kmeans_n_init", 1),
@@ -261,8 +262,8 @@ def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
                 fold_id: int, epoch: int, lr: float, emit) -> losses.LossBreakdown:
     """One step on ``sub`` that advances ``state`` in place: forward both
     modalities on the step's own tape, refresh the centroids from the batch in
-    batch mode (a sub-k batch reuses the previous ones), then backpropagate the
-    objective and Adam-update.  Returns the step's loss breakdown."""
+    batch mode (from the previous step's centroids once there are any; a sub-k
+    batch reuses them), backpropagate and Adam-update; return the loss breakdown."""
     step, params = state.step, state.params
     tape = ad.Tape()
     pt = model.as_tensors(params, tape)
@@ -279,7 +280,7 @@ def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
     if cfg.lam > 0:
         if sub.n_spots >= cfg.k and cfg.cluster_refresh == "batch":
             seeds = [_derived_seed(cfg.seed, fold_id, epoch, step, s) for s in (17, 19)]
-            state.centroids = _centroids(model.as_tensors(params), [emb], cfg, seeds)
+            state.centroids = _centroids(model.as_tensors(params), [emb], cfg, seeds, state.centroids)
         elif state.centroids is None:
             emit(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
         elif cfg.cluster_refresh == "batch":
@@ -309,15 +310,16 @@ def _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch):
     return _centroids(const_pt, embeddings, cfg, seeds)
 
 
-def _centroids(const_pt, embeddings, cfg: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _centroids(const_pt, embeddings, cfg: TrainConfig, seeds, init=None) -> tuple[np.ndarray, np.ndarray]:
     """Image and gene k-means centroids of the grouping features of
-    ``embeddings`` (their spots concatenated), one seed per modality;
+    ``embeddings`` (their spots concatenated), one seed per modality, or one
+    Lloyd run per modality from the (image, gene) centroids ``init``;
     ``const_pt`` holds the parameters as constants."""
     centroids = []
     per_modality = zip(*[(e.fused.data, e.gene.data) for e in embeddings])
-    for modality, feats, seed in zip(("image", "gene"), per_modality, seeds):
+    for modality, feats, seed, start in zip(("image", "gene"), per_modality, seeds, init or (None, None)):
         e_clu = np.concatenate([grouping.group_project(const_pt, x, modality).data for x in feats])
-        centroids.append(grouping.kmeans(e_clu, cfg.k, seed, n_init=cfg.kmeans_n_init).centroids)
+        centroids.append(grouping.kmeans(e_clu, cfg.k, seed, n_init=cfg.kmeans_n_init, init=start).centroids)
     return centroids[0], centroids[1]
 
 

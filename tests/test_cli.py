@@ -653,6 +653,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     @pytest.mark.parametrize("fault", [
         "non_integer_coord", "no_study_genes", "no_study_columns", "empty_gene_selection",
+        "repeated_column", "repeated_gene",
     ])
     def test_malformed_study_exits_3(self, study_dir, capsys, command, fault):
         study = study_dir / "study"
@@ -664,6 +665,9 @@ class TestMalformedInputs:
             coords.write_text("\n".join(lines) + "\n")
         elif fault == "empty_gene_selection":
             (study / "genes.txt").write_text("# no genes selected\n")
+        elif fault.startswith("repeated_"):  # gene_0002 in place of gene_0003
+            text = study / ("columns.txt" if fault == "repeated_column" else "genes.txt")
+            text.write_text(text.read_text().replace("gene_0003\n", "gene_0002\n"))
         else:
             key = fault.rsplit("_", 1)[1]
             manifest.write_text(manifest.read_text().replace(f"{key} = {key}.txt\n", ""))
@@ -672,7 +676,10 @@ class TestMalformedInputs:
         assert_one_data_error(code, err)
         if fault == "empty_gene_selection":
             assert f"{study / 'genes.txt'}: selects no genes" in err, err
+        if fault.startswith("repeated_"):
+            assert f"{text}: repeated name 'gene_0002'" in err, err
         assert not (study_dir / "run").exists()  # train wrote nothing
+        assert not (study_dir / "p").exists()  # predict wrote nothing
 
     def test_one_spot_sample_exits_3_when_scored(self, tmp_path, capsys):
         spec = tmp_path / "synth.ini"
@@ -728,6 +735,7 @@ class TestMalformedInputs:
         ("inf_counts", "S01_expression.gdml"),
         ("negative_count", "S01_expression.gdml"),
         ("negative_zero_total", "S01_expression.gdml"),
+        ("huge_count", "S01_expression.gdml"),
     ])
     def test_bad_image_features_exit_3_naming_the_file(
         self, study_dir, capsys, command, fault, file
@@ -756,11 +764,14 @@ class TestMalformedInputs:
                 if fault == "negative_zero_total":
                     a[3] = 0.0
                 a[3, :2] = {"nan_counts": (np.nan, 1.0), "inf_counts": (np.inf, 1.0),
-                            "negative_count": (-1.0, 5.0), "negative_zero_total": (-4.0, 4.0)}[fault]
+                            "negative_count": (-1.0, 5.0), "negative_zero_total": (-4.0, 4.0),
+                            "huge_count": (1e305, 1.0)}[fault]
                 return a
 
             rewrite("expression", spot3, name="counts")
-        code = run_on_study(command, study_dir)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_on_study(command, study_dir)
         err = capsys.readouterr().err
         assert_one_data_error(code, err)
         assert file in err

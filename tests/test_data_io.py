@@ -6,6 +6,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ class TestPreprocess:
         raw = np.array([[1.0, 3.0, 6.0]])
         full = data_io.preprocess_expression(raw, ["a", "b", "c"], ["a"])
         np.testing.assert_allclose(full.expression[0, 0], math.log(1 + 1e4 / 10.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("raw", [
+        [[1e305, 1.0]],  # the scaled count overflows
+        [[1.0, 1e308, 1e308]],  # the total overflows; the selected count would scale to 0
+    ])
+    def test_counts_that_overflow_when_normalized_raise(self, raw):
+        names = ["a", "b", "c"][: len(raw[0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="small enough to normalize"):
+                data_io.preprocess_expression(np.array(raw), names, ["a"])
 
     def test_missing_gene_listed(self):
         with pytest.raises(DataError, match="nope"):

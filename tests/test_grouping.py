@@ -6,6 +6,7 @@ small instances used here.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestL2Normalize:
         with pytest.raises(ContractError, match="zero row"):
             grouping.l2_normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
+    def test_overflowing_row_raises(self):
+        # squares of 1e155 overflow, so these rows would normalize to zeros
+        rows = np.random.default_rng(9).normal(size=(30, 4))
+        rows[5:] *= 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="overflow"):
+                grouping.l2_normalize_rows(rows)
+            for init in (None, np.eye(4)):
+                with pytest.raises(ContractError, match="overflow"):
+                    grouping.kmeans(rows, k=4, seed=0, init=init)
+
 
 class TestKMeans:
     def test_saturation_each_point_its_own_centroid(self):
@@ -225,6 +238,25 @@ class TestKMeans:
             assert repr(got.inertia) == repr(want.inertia), where
             assert repr(got.inertia_trace) == repr(want.inertia_trace), where
             assert got.n_iter == want.n_iter, where
+
+    def test_warm_start_from_converged_centroids_stops_at_once(self):
+        rng = np.random.default_rng(8)
+        points = np.concatenate([c + 0.05 * rng.normal(size=(10, 4)) for c in np.eye(4)])
+        cold = grouping.kmeans(points, k=4, seed=0)
+        warm = grouping.kmeans(points, k=4, seed=1, n_init=3, init=cold.centroids)
+        assert warm.centroids.tobytes() == cold.centroids.tobytes()
+        assert warm.assignments.tobytes() == cold.assignments.tobytes()
+        assert warm.inertia == cold.inertia
+        assert warm.n_iter == 1
+
+    @pytest.mark.parametrize("init", [
+        np.eye(4)[:3], np.eye(4)[:, :3], np.eye(4).ravel(), np.eye(5),
+        np.where(np.eye(4) > 0, np.nan, 0.0), np.where(np.eye(4) > 0, np.inf, 0.0),
+    ])
+    def test_init_of_wrong_shape_or_not_finite_rejected(self, init):
+        points = np.random.default_rng(4).normal(size=(10, 4))
+        with pytest.raises(ContractError, match="init"):
+            grouping.kmeans(points, k=4, seed=0, init=init)
 
     def test_contract_errors(self):
         points = np.ones((3, 2)) + np.arange(3)[:, None]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spotalign import data_io, model, trainer
+from spotalign import data_io, grouping, model, trainer
 from spotalign.errors import ContractError, DataError, NumericError
 
 
@@ -282,6 +282,54 @@ class TestTrainFold:
         assert len(skipped) == len(trained) == len(steps) // 2 > 0
         assert all(" cross=0.0 " in line for line in trained)
         assert len(result.history) == 2
+
+
+def spy_kmeans(monkeypatch):
+    """Record each ``grouping.kmeans`` call's ``init`` and the centroids it
+    returned; the trainer names the start (``init=None`` when cold) on every call."""
+    calls = []
+    kmeans = grouping.kmeans
+
+    def spy(e_clu, k, seed, *, n_init, init):
+        state = kmeans(e_clu, k, seed, n_init=n_init, init=init)
+        calls.append((init, state.centroids))
+        return state
+
+    monkeypatch.setattr(grouping, "kmeans", spy)
+    return calls
+
+
+class TestWarmStart:
+    def test_batch_refresh_starts_from_previous_step_centroids(self, monkeypatch):
+        # one 50-spot training slide per fold cut into 20 + 20 + 10 spots: the
+        # 10-spot chunk is below k, so each epoch fits twice per modality
+        batches, mcfg = desk_setup(n_spots=50)
+        tcfg = trainer.TrainConfig(
+            lr=1e-3, batch_size=20, epochs=2, seed=3, k=15, lam=0.8, n_folds=2,
+            kmeans_n_init=2,
+        )
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 3)
+        calls = spy_kmeans(monkeypatch)
+        for fold_id in (0, 1):
+            calls.clear()
+            lines = trainer.train_fold(fold_id, plan, batches, mcfg, tcfg).log_lines
+            assert "step=2 epoch=0 event=centroids_reused n=10" in lines
+            assert len(calls) == 8  # 2 epochs x 2 fits x (image, gene)
+            assert calls[0][0] is None and calls[1][0] is None
+            for i in range(2, 8):  # the previous fit of the same modality, across the sub-k step
+                assert calls[i][0] is calls[i - 2][1], i
+
+    def test_epoch_refresh_is_always_cold(self, monkeypatch):
+        batches, mcfg = desk_setup(n_spots=40)
+        tcfg = trainer.TrainConfig(
+            lr=1e-3, batch_size=20, epochs=3, seed=6, k=4, lam=0.8, n_folds=2,
+            cluster_refresh="epoch", kmeans_n_init=2,
+        )
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 6)
+        calls = spy_kmeans(monkeypatch)
+        trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        assert len(calls) == 6  # 3 epochs x (image, gene)
+        assert all(init is None for init, _ in calls)
 
 
 def inline_schedule(train_batches, cfg, fold_id, epoch):
