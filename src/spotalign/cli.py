@@ -263,12 +263,16 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     params, model_cfg = model.load_checkpoint(args.checkpoint)
     samples = sorted(_load_samples(args.manifest, scored=False), key=lambda b: b.sample_id)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries: dict[str, np.ndarray] = {}
     for b in samples:
         entries[f"pred:{b.sample_id}"] = trainer.infer(params, model_cfg, b)
         entries[f"coords:{b.sample_id}"] = b.coords
+    try:
+        data_io.pack_entries(entries)
+    except ContractError as exc:  # a sample id is data: one too long for an entry name
+        raise DataError(f"{args.manifest}: {exc}") from exc
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     data_io.write_container(out_dir / "predictions.gdml", entries)
 
     gene_file = Path(args.manifest).parent / data_io.read_ini(args.manifest)["study"]["genes"]
@@ -283,8 +287,10 @@ def cmd_render(args) -> int:
     if not sample_ids:
         raise DataError(f"{args.predictions}: no prediction entries")
     sid = args.sample or sample_ids[0]
-    if f"coords:{sid}" not in entries:
-        raise DataError(f"{args.predictions}: sample {sid!r} has no coords entry")
+    coords = entries.get(f"coords:{sid}")
+    if coords is None or coords.dtype.kind != "i" or coords.ndim != 2 or coords.shape[1] != 2 or not len(coords):
+        got = "is missing" if coords is None else f"is {coords.dtype} of shape {coords.shape}"
+        raise DataError(f"{args.predictions}: coords:{sid} {got}, expected a non-empty N x 2 integer matrix")
 
     genes_path = Path(args.genes) if args.genes else Path(args.predictions).parent / "genes.txt"
     gene_names = data_io.read_gene_list(genes_path)
@@ -292,7 +298,6 @@ def cmd_render(args) -> int:
         raise DataError(f"gene {args.gene!r} not in {genes_path}")
     gi = gene_names.index(args.gene)
 
-    coords = entries[f"coords:{sid}"]
     pred = _prediction(entries, args.predictions, sid, coords.shape[:1] + (len(gene_names),))
     render.render_hex_svg(coords, pred[:, gi], args.out, title=f"{sid} {args.gene}")
     print(f"svg={args.out}")

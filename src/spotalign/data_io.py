@@ -44,7 +44,7 @@ VERSION = 1
 _TAG_TO_DTYPE = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i4")}
 
 
-def _dtype_tag(arr: np.ndarray) -> tuple[int, np.ndarray]:
+def _dtype_tag(name: str, arr: np.ndarray) -> tuple[int, np.ndarray]:
     """The entry's tag and its little-endian data: float32 and float64 of
     either byte order, and integers within the i32 range."""
     if arr.dtype.kind == "f" and arr.dtype.itemsize in (4, 8):
@@ -53,29 +53,37 @@ def _dtype_tag(arr: np.ndarray) -> tuple[int, np.ndarray]:
     if np.issubdtype(arr.dtype, np.integer):
         as32 = arr.astype(np.int64, copy=False)
         if as32.size and (as32.max() > np.iinfo(np.int32).max or as32.min() < np.iinfo(np.int32).min):
-            raise ContractError("integer entry exceeds the i32 range of the container format")
+            raise ContractError(f"integer entry {name!r} exceeds the i32 range of the container format")
         return 3, arr.astype("<i4", copy=False)
-    raise ContractError(f"unsupported dtype for container entry: {arr.dtype}")
+    raise ContractError(f"unsupported dtype for container entry {name!r}: {arr.dtype}")
+
+
+def pack_entries(entries: dict[str, np.ndarray]) -> list[tuple[bytes, int, np.ndarray]]:
+    """Each entry's UTF-8 name, dtype tag and little-endian data, as
+    ``write_container`` writes them; ContractError names the first entry the
+    format cannot hold (a name over 65,535 UTF-8 bytes, an unsupported dtype)."""
+    packed = []
+    for name, arr in entries.items():
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ContractError(f"entry {name[:40]!r}... has a {len(encoded)}-byte name, over 65535")
+        packed.append((encoded, *_dtype_tag(name, np.ascontiguousarray(arr))))
+    return packed
 
 
 def write_container(path, entries: dict[str, np.ndarray]) -> None:
-    """Write named arrays to the binary container format (little-endian)."""
-    path = Path(path)
-    names = list(entries)
-    if len(set(names)) != len(names):
-        raise ContractError("duplicate entry names")
+    """Write named arrays to the binary container format (little-endian); a
+    refused entry raises before the file is opened, leaving any file as it was."""
+    packed = pack_entries(entries)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<H", VERSION))
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(entries[name])
-            tag, data = _dtype_tag(arr)
-            encoded = name.encode("utf-8")
+        f.write(struct.pack("<I", len(packed)))
+        for encoded, tag, data in packed:
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
-            f.write(struct.pack("<BB", tag, arr.ndim))
-            for dim in arr.shape:
+            f.write(struct.pack("<BB", tag, data.ndim))
+            for dim in data.shape:
                 f.write(struct.pack("<I", dim))
             f.write(memoryview(data))
 

@@ -1,6 +1,6 @@
 """Feature-grouping branch: per-modality projection, K-means on
-unit-normalized vectors (seeded k-means++ restarts, or one Lloyd run from
-given centroids), and cross-modal nearest-centroid assignment.
+unit-normalized vectors (one Lloyd run per start: ``n_init`` seeded k-means++
+draws, or the given centroids), and cross-modal nearest-centroid assignment.
 
 Centroids are means of normalized member rows and are deliberately not
 re-normalized, so dot-product similarity against them also encodes cluster
@@ -97,11 +97,10 @@ def _nearest(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray):
     return assign, ((points - centroids[assign]) ** 2).sum(axis=-1)
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator | None, centroids=None):
-    if centroids is None:
-        centroids = _kmeans_pp_init(points, k, rng)
+def _lloyd(points: np.ndarray, centroids: np.ndarray) -> GroupState:
+    """One Lloyd run from the k x d starting ``centroids``."""
+    k, d = centroids.shape
     sq_norms = (points * points).sum(axis=-1)
-    d = points.shape[1]
     n_iter = 0
     trace = []
     for n_iter in range(1, _MAX_ITER + 1):
@@ -124,7 +123,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator | None, centroid
             break
     assign, member_dist = _nearest(points, sq_norms, centroids)
     trace.append(float(member_dist.sum()))
-    return centroids, assign, trace[-1], n_iter, tuple(trace)
+    return GroupState(centroids, assign.astype(np.int64), trace[-1], n_iter, tuple(trace))
 
 
 def kmeans(
@@ -135,14 +134,15 @@ def kmeans(
     n_init: int = 10,
     init: np.ndarray | None = None,
 ) -> GroupState:
-    """Seeded k-means++ / Lloyd clustering of grouping features.
+    """Seeded k-means++ / Lloyd clustering of grouping features: one Lloyd
+    run per start, and the lowest final inertia wins, ties going to the
+    earliest start.
 
-    Rows are l2-normalized first unless ``normalize`` is off (raw mode).
-    ``n_init`` restarts run with seeds derived from ``seed``; the lowest
-    inertia wins, ties going to the earliest restart.  Given ``init``, a finite
-    k x d array of starting centroids, one Lloyd run starts from it instead
-    (``seed`` and ``n_init`` unused).  Empty clusters are repaired by
-    reseeding from the point farthest from its centroid.
+    Rows are l2-normalized first unless ``normalize`` is off (raw mode).  The
+    starts are ``n_init`` k-means++ draws with seeds derived from ``seed``, or,
+    given ``init`` (a finite k x d array), those centroids alone (``seed`` and
+    ``n_init`` unused).  Empty clusters are repaired by reseeding from the
+    point farthest from its centroid.
     """
     points = np.asarray(e_clu, dtype=np.float64)
     if points.ndim != 2:
@@ -161,23 +161,12 @@ def kmeans(
     if normalize:
         points = l2_normalize_rows(points)
 
-    if init is not None:
-        best = _lloyd(points, k, None, np.asarray(init, dtype=np.float64))
+    if init is None:
+        starts = (_kmeans_pp_init(points, k, np.random.default_rng(np.random.SeedSequence([seed, r])))
+                  for r in range(n_init))
     else:
-        best = None
-        for restart in range(n_init):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-            result = _lloyd(points, k, rng)
-            if best is None or result[2] < best[2]:
-                best = result
-    centroids, assign, inertia, n_iter, trace = best
-    return GroupState(
-        centroids=centroids,
-        assignments=assign.astype(np.int64),
-        inertia=inertia,
-        n_iter=n_iter,
-        inertia_trace=trace,
-    )
+        starts = [np.asarray(init, dtype=np.float64)]
+    return min((_lloyd(points, start) for start in starts), key=lambda run: run.inertia)
 
 
 def assign_cross(e_ins: np.ndarray, other_centroids: np.ndarray) -> np.ndarray:

@@ -714,6 +714,16 @@ class TestMalformedInputs:
         assert "sample S01 has 0 spot(s)" in err, err
         assert not (study_dir / "run").exists() and not (study_dir / "p").exists()
 
+    def test_sample_id_too_long_for_an_entry_name_exits_3(self, study_dir, capsys):
+        manifest = study_dir / "study" / "manifest.ini"
+        sid = "S" * 70_000
+        manifest.write_text(manifest.read_text().replace("[sample:S01]", f"[sample:{sid}]"))
+        code = run_on_study("predict", study_dir)
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert f"{manifest}: entry 'pred:{sid[:35]}'" in err, err[:200]
+        assert not (study_dir / "p").exists()  # predict wrote nothing
+
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     def test_coordinate_outside_int32_exits_3(self, study_dir, capsys, command):
         coords = study_dir / "study" / "S00_coords.tsv"
@@ -898,6 +908,25 @@ class TestRenderErrors:
             "render", "--predictions", str(fixture), "--gene", "g0", "--out", str(tmp_path / "x.svg"),
         ])
         assert_one_data_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("coords", [
+        np.zeros((0, 2), dtype=np.int32),
+        np.array([[0.0, 0.0], [0.0, np.nan]]),
+        np.array([[0.5, 0.0], [0.0, 1.0]]),
+        np.array([0, 1], dtype=np.int32),
+        np.zeros((2, 3), dtype=np.int32),
+    ], ids=["no_rows", "nan", "float", "one_dim", "three_columns"])
+    def test_coords_it_cannot_draw_exits_3(self, tmp_path, capsys, coords):
+        fixture = tmp_path / "p.gdml"
+        data_io.write_container(fixture, {"pred:S": np.ones((len(coords), 3)), "coords:S": coords})
+        data_io.write_gene_list(tmp_path / "genes.txt", ["g0", "g1", "g2"])
+        code = main([
+            "render", "--predictions", str(fixture), "--gene", "g0", "--out", str(tmp_path / "x.svg"),
+        ])
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert "coords:S " in err, err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_fewer_prediction_columns_than_genes_exits_3(self, tmp_path, capsys):
         fixture = tmp_path / "p.gdml"

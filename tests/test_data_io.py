@@ -99,6 +99,28 @@ class TestTensorContainer:
             with pytest.raises(ContractError, match="unsupported dtype"):
                 data_io.write_container(tmp_path / "t.gdml", {"x": np.zeros(2, dtype=dtype)})
 
+    @pytest.mark.parametrize("name,arr", [
+        ("z", np.zeros(2, dtype=np.complex128)),
+        ("big", np.array([2**31])),
+        ("n" * 70_000, np.zeros(2)),
+        ("\u00e9" * 32_768, np.zeros(2)),  # 32,768 characters, 65,536 UTF-8 bytes
+    ], ids=["complex", "over_i32", "long_name", "long_utf8_name"])
+    def test_refused_entry_leaves_no_partial_file(self, tmp_path, name, arr):
+        path = tmp_path / "t.gdml"
+        data_io.write_container(path, {"x": np.arange(3.0)})
+        before = path.read_bytes()
+        with pytest.raises(ContractError, match=f"entry {name[:40]!r}"):
+            data_io.write_container(path, {"x": np.arange(3.0), name: arr})
+        assert path.read_bytes() == before
+        with pytest.raises(ContractError):
+            data_io.write_container(tmp_path / "new.gdml", {"x": np.arange(3.0), name: arr})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.gdml"]
+
+    def test_name_of_65535_bytes_roundtrips(self, tmp_path):
+        name = "n" * 0xFFFF
+        data_io.write_container(tmp_path / "t.gdml", {name: np.arange(3.0)})
+        assert data_io.read_container(tmp_path / "t.gdml")[name].tolist() == [0.0, 1.0, 2.0]
+
 
 class TestPreprocess:
     def test_hand_case(self):

@@ -38,10 +38,10 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
 
 
-def reference_lloyd(points, k, rng):
+def reference_lloyd(points, centroids):
     """The direct-form Lloyd loop, kept verbatim as the bit-identity oracle:
     every distance from the (N, k, d) broadcast and one mean per cluster."""
-    centroids = grouping._kmeans_pp_init(points, k, rng)
+    k = centroids.shape[0]
     n_iter = 0
     trace = []
     for n_iter in range(1, grouping._MAX_ITER + 1):
@@ -66,7 +66,7 @@ def reference_lloyd(points, k, rng):
     assign = dists.argmin(axis=1)
     inertia = float(dists[np.arange(points.shape[0]), assign].sum())
     trace.append(inertia)
-    return centroids, assign, inertia, n_iter, tuple(trace)
+    return grouping.GroupState(centroids, assign, inertia, n_iter, tuple(trace))
 
 
 def oracle_points(seed: int) -> tuple[np.ndarray, int]:
@@ -222,32 +222,68 @@ class TestKMeans:
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_bit_identical_to_direct_form(self, normalize, monkeypatch):
+        """Cold fits from k-means++ draws, and warm fits from k distinct rows
+        of the clustered points scaled by 1.01."""
         screened_lloyd = grouping._lloyd
+        n_warm = 0
         for seed in range(300):
             points, k = oracle_points(seed)
             if normalize and not np.all((points * points).sum(axis=1) > 0):
                 continue  # the squared norm underflows and normalizing refuses the row
-            runs = []
-            for lloyd in (reference_lloyd, screened_lloyd):
-                monkeypatch.setattr(grouping, "_lloyd", lloyd)
-                runs.append(grouping.kmeans(points, k, seed, normalize=normalize, n_init=2))
-            want, got = runs
-            where = f"seed {seed}: n={points.shape[0]} d={points.shape[1]} k={k}"
-            assert got.centroids.tobytes() == want.centroids.tobytes(), where
-            assert got.assignments.tobytes() == want.assignments.tobytes(), where
-            assert repr(got.inertia) == repr(want.inertia), where
-            assert repr(got.inertia_trace) == repr(want.inertia_trace), where
-            assert got.n_iter == want.n_iter, where
+            rows = np.unique(grouping.l2_normalize_rows(points) if normalize else points, axis=0)
+            warm = 1.01 * rows[np.random.default_rng(seed).permutation(len(rows))[:k]]
+            n_warm += len(rows) >= k
+            for init in (None, warm) if len(rows) >= k else (None,):
+                runs = []
+                for lloyd in (reference_lloyd, screened_lloyd):
+                    monkeypatch.setattr(grouping, "_lloyd", lloyd)
+                    runs.append(grouping.kmeans(points, k, seed, normalize=normalize, n_init=2, init=init))
+                want, got = runs
+                where = f"seed {seed}: n={points.shape[0]} d={points.shape[1]} k={k} warm={init is not None}"
+                assert got.centroids.tobytes() == want.centroids.tobytes(), where
+                assert got.assignments.tobytes() == want.assignments.tobytes(), where
+                assert repr(got.inertia) == repr(want.inertia), where
+                assert repr(got.inertia_trace) == repr(want.inertia_trace), where
+                assert got.n_iter == want.n_iter, where
+        assert n_warm >= 250
+
+    @staticmethod
+    def _four_blobs():
+        rng = np.random.default_rng(8)
+        return np.concatenate([c + 0.05 * rng.normal(size=(10, 4)) for c in np.eye(4)])
 
     def test_warm_start_from_converged_centroids_stops_at_once(self):
-        rng = np.random.default_rng(8)
-        points = np.concatenate([c + 0.05 * rng.normal(size=(10, 4)) for c in np.eye(4)])
+        points = self._four_blobs()
         cold = grouping.kmeans(points, k=4, seed=0)
         warm = grouping.kmeans(points, k=4, seed=1, n_init=3, init=cold.centroids)
         assert warm.centroids.tobytes() == cold.centroids.tobytes()
         assert warm.assignments.tobytes() == cold.assignments.tobytes()
         assert warm.inertia == cold.inertia
         assert warm.n_iter == 1
+
+    def test_earliest_restart_wins_a_tie(self):
+        points = self._four_blobs()
+        unit = grouping.l2_normalize_rows(points)
+        restarts = [
+            grouping._lloyd(unit, grouping._kmeans_pp_init(
+                unit, 4, np.random.default_rng(np.random.SeedSequence([0, r]))))
+            for r in range(5)
+        ]
+        # the premise: every restart ties on inertia, in some other centroid order
+        assert len({run.inertia for run in restarts}) == 1
+        assert len({run.centroids.tobytes() for run in restarts}) > 1
+        first = grouping.kmeans(points, k=4, seed=0, n_init=1)
+        best = grouping.kmeans(points, k=4, seed=0, n_init=5)
+        assert best.centroids.tobytes() == first.centroids.tobytes()
+        assert best.assignments.tobytes() == first.assignments.tobytes()
+
+    def test_warm_fit_leaves_init_unchanged(self):
+        points = np.random.default_rng(10).normal(size=(40, 4))
+        init = 1.01 * points[:5]
+        before = init.copy()
+        state = grouping.kmeans(points, k=5, seed=0, normalize=False, init=init)
+        assert state.n_iter > 1
+        assert init.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("init", [
         np.eye(4)[:3], np.eye(4)[:, :3], np.eye(4).ravel(), np.eye(5),
