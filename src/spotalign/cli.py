@@ -7,7 +7,9 @@ name, see ``_INI_NAMES``); unknown sections or keys are hard errors; ``n_genes``
 ``d_in`` and ``neighbor_tokens`` come from the study and have no key.  Only
 training passes the model an rng (eval mode has none).  Every training run
 echoes its fully-defaulted config to ``effective_config.ini`` in its output
-directory, and that file is itself a valid run config.
+directory, and that file is itself a valid run config.  Each fold writes its
+log as it trains and its checkpoint when it ends, so a failed fold keeps its
+log up to the failing step; ``report.csv`` and ``summary.txt`` wait for all.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure, 5 I/O
 error.  Errors print one line to stderr: ``error: <category>: <message>``.
@@ -19,6 +21,7 @@ import argparse
 import concurrent.futures
 import configparser
 import contextlib
+import errno
 import multiprocessing
 import os
 import sys
@@ -136,8 +139,13 @@ def _load_run_config(path):
 
 
 def _train_one_fold(payload):
-    fold_id, plan, batches, model_cfg, train_cfg = payload
-    return fold_id, trainer.train_fold(fold_id, plan, batches, model_cfg, train_cfg)
+    """Train one fold, writing its log as it runs and its checkpoint at the end."""
+    fold_id, plan, batches, model_cfg, train_cfg, out_dir = payload
+    with open(out_dir / f"fold{fold_id}_train.log", "w", buffering=1) as log:
+        result = trainer.train_fold(fold_id, plan, batches, model_cfg, train_cfg,
+                                    on_line=lambda line: log.write(line + "\n"))
+    model.save_checkpoint(out_dir / f"fold{fold_id}_final.gdml", result.params_final, model_cfg)
+    return fold_id, result.report
 
 
 @contextlib.contextmanager
@@ -187,22 +195,17 @@ def cmd_train(args) -> int:
         },
     )
 
-    fold_ids = sorted(plan.folds)
-    payloads = [(f, plan, batches, model_cfg, train_cfg) for f in fold_ids]
+    stale = [f"fold{f}_{end}" for f in plan.folds for end in ("final.gdml", "train.log")]
+    for name in ("report.csv", "summary.txt", *stale):  # a failed rerun keeps none of the last run's
+        (out_dir / name).unlink(missing_ok=True)
+    payloads = [(f, plan, batches, model_cfg, train_cfg, out_dir) for f in sorted(plan.folds)]
     if args.jobs > 1:
         with _fold_pool(args.jobs) as pool:
-            results = dict(pool.map(_train_one_fold, payloads))
+            results = list(pool.map(_train_one_fold, payloads))
     else:
-        results = dict(map(_train_one_fold, payloads))
+        results = list(map(_train_one_fold, payloads))
 
-    for fold_id in fold_ids:
-        result = results[fold_id]
-        model.save_checkpoint(out_dir / f"fold{fold_id}_final.gdml", result.params_final, model_cfg)
-        (out_dir / f"fold{fold_id}_train.log").write_text(
-            "".join(line + "\n" for line in result.log_lines)
-        )
-
-    reports = [results[f].report for f in fold_ids if results[f].report is not None]
+    reports = [report for _, report in results if report is not None]
     if reports:
         _write_reports(out_dir, reports)
     return 0
@@ -243,10 +246,20 @@ def _prediction(entries, path, sid: str, shape: tuple) -> np.ndarray:
     return pred
 
 
+def _out_dir(path) -> Path:
+    """``path``, refused with ``mkdir``'s error if it names a non-directory; not
+    created yet, so a command that fails before writing leaves nothing."""
+    out_dir = Path(path)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out_dir))
+    return out_dir
+
+
 def cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.predictions is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --predictions")
     samples = sorted(_load_samples(args.manifest, scored=True), key=lambda b: b.sample_id)
+    out_dir = _out_dir(args.out)
     if args.checkpoint is not None:
         params, model_cfg = model.load_checkpoint(args.checkpoint)
         report = trainer.evaluate_fold(0, params, model_cfg, samples)
@@ -256,22 +269,24 @@ def cmd_eval(args) -> int:
             (b.expression, _prediction(entries, args.predictions, b.sample_id, b.expression.shape))
             for b in samples
         ])
-    _write_reports(Path(args.out), [report])
+    _write_reports(out_dir, [report])
     return 0
 
 
 def cmd_predict(args) -> int:
     params, model_cfg = model.load_checkpoint(args.checkpoint)
     samples = sorted(_load_samples(args.manifest, scored=False), key=lambda b: b.sample_id)
+    try:
+        for b in samples:
+            data_io.check_entry_name(f"pred:{b.sample_id}")
+            data_io.check_entry_name(f"coords:{b.sample_id}")
+    except ContractError as exc:  # a sample id is data: one too long for an entry name
+        raise DataError(f"{args.manifest}: {exc}") from exc
+    out_dir = _out_dir(args.out)
     entries: dict[str, np.ndarray] = {}
     for b in samples:
         entries[f"pred:{b.sample_id}"] = trainer.infer(params, model_cfg, b)
         entries[f"coords:{b.sample_id}"] = b.coords
-    try:
-        data_io.pack_entries(entries)
-    except ContractError as exc:  # a sample id is data: one too long for an entry name
-        raise DataError(f"{args.manifest}: {exc}") from exc
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_io.write_container(out_dir / "predictions.gdml", entries)
 

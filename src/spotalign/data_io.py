@@ -58,23 +58,21 @@ def _dtype_tag(name: str, arr: np.ndarray) -> tuple[int, np.ndarray]:
     raise ContractError(f"unsupported dtype for container entry {name!r}: {arr.dtype}")
 
 
-def pack_entries(entries: dict[str, np.ndarray]) -> list[tuple[bytes, int, np.ndarray]]:
-    """Each entry's UTF-8 name, dtype tag and little-endian data, as
-    ``write_container`` writes them; ContractError names the first entry the
-    format cannot hold (a name over 65,535 UTF-8 bytes, an unsupported dtype)."""
-    packed = []
-    for name, arr in entries.items():
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ContractError(f"entry {name[:40]!r}... has a {len(encoded)}-byte name, over 65535")
-        packed.append((encoded, *_dtype_tag(name, np.ascontiguousarray(arr))))
-    return packed
+def check_entry_name(name: str) -> bytes:
+    """``name`` in UTF-8; ContractError if over the 65,535 bytes a name holds."""
+    encoded = name.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise ContractError(f"entry {name[:40]!r}... has a {len(encoded)}-byte name, over 65535")
+    return encoded
 
 
 def write_container(path, entries: dict[str, np.ndarray]) -> None:
-    """Write named arrays to the binary container format (little-endian); a
-    refused entry raises before the file is opened, leaving any file as it was."""
-    packed = pack_entries(entries)
+    """Write named arrays to the binary container format (little-endian).
+    Every entry is checked before the file is opened, so one the format cannot
+    hold (a name over 65,535 UTF-8 bytes, an unsupported dtype) raises
+    ContractError naming it and leaves any file as it was."""
+    packed = [(check_entry_name(name), *_dtype_tag(name, np.ascontiguousarray(arr)))
+              for name, arr in entries.items()]
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<H", VERSION))

@@ -155,7 +155,6 @@ def adam_step(
 class TrainResult:
     params_final: dict[str, np.ndarray]
     history: list[dict] = field(default_factory=list)
-    log_lines: list[str] = field(default_factory=list)
     report: evaluation.FoldReport | None = None  # None when the fold has no test samples
 
 
@@ -173,14 +172,16 @@ def train_fold(
     batches: list[SpotBatch],
     model_cfg: model.ModelConfig,
     cfg: TrainConfig,
-    on_line=None,
+    on_line=lambda line: None,
 ) -> TrainResult:
     """Train one fold and return its final parameters and their test-fold report.
 
     Each epoch refreshes the centroids from every training spot (epoch mode),
     then runs one ``_train_step`` per chunk of ``_schedule`` and logs its
     ``step=`` line after the step, and its tape, are gone.  The test fold is
-    scored once, on the final parameters, so nothing is chosen on it.
+    scored once, on the final parameters, so nothing is chosen on it.  Each
+    log line goes to ``on_line`` as it is made, and nowhere else (by default,
+    nowhere).
     """
     test_ids = set(plan.test_samples(fold_id))
     train_batches = [b for b in batches if b.sample_id not in test_ids]
@@ -190,13 +191,6 @@ def train_fold(
     straddle = {b.patient_id for b in train_batches} & {b.patient_id for b in test_batches}
     if straddle:
         raise ContractError(f"patients straddle fold {fold_id}: {sorted(straddle)}")
-
-    log: list[str] = []
-
-    def emit(line: str) -> None:
-        log.append(line)
-        if on_line is not None:
-            on_line(line)
 
     state = _init_state(train_batches, model_cfg, cfg, fold_id)
     history: list[dict] = []
@@ -210,9 +204,9 @@ def train_fold(
         for si, chunk in schedule:
             step = state.step
             breakdown = _train_step(state, train_batches[si].take(chunk), model_cfg, cfg,
-                                    fold_id, epoch, lr, emit)
+                                    fold_id, epoch, lr, on_line)
             # loss fields at full precision so total can be re-derived exactly
-            emit(f"step={step} epoch={epoch} lr={lr!r} multi_ins={breakdown.multi_ins!r} "
+            on_line(f"step={step} epoch={epoch} lr={lr!r} multi_ins={breakdown.multi_ins!r} "
                  f"cross={breakdown.cross!r} pred={breakdown.pred!r} total={breakdown.total!r}")
             epoch_total += breakdown.total
         summary = {"epoch": epoch, "lr": lr, "mean_total": epoch_total / max(len(schedule), 1)}
@@ -222,9 +216,9 @@ def train_fold(
             summary.update(val_pcc_a=report.pcc_a, val_mse=report.mse)
             line += f" val_pcc_a={report.pcc_a:.6f}"
         history.append(summary)
-        emit(line)
+        on_line(line)
 
-    return TrainResult(params_final=state.params, history=history, log_lines=log, report=report)
+    return TrainResult(params_final=state.params, history=history, report=report)
 
 
 @dataclass

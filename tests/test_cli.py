@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import errno
 import math
 import os
 import random
@@ -19,7 +20,7 @@ import pytest
 from spotalign import cli, data_io, model, trainer
 from spotalign.cli import main
 from spotalign.data_io import SynthSpec
-from spotalign.errors import ContractError, DataError
+from spotalign.errors import ContractError, DataError, NumericError
 from spotalign.model import ModelConfig
 from spotalign.trainer import TrainConfig
 
@@ -343,10 +344,42 @@ class TestTrainPipeline:
     def test_parallel_folds_match_sequential(self, study_dir):
         config = study_dir / "run.ini"
         config.write_text(RUN_CONFIG)
+        run = study_dir / "run"
         assert main(["train", "--config", str(config)]) == 0
-        sequential = (study_dir / "run" / "fold1_final.gdml").read_bytes()
+        sequential = {p.name: p.read_bytes() for p in run.iterdir()}
+        assert {f"fold{k}_{kind}" for k in (0, 1) for kind in ("final.gdml", "train.log")} <= set(sequential)
         assert main(["train", "--config", str(config), "--jobs", "2"]) == 0
-        assert (study_dir / "run" / "fold1_final.gdml").read_bytes() == sequential
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == sequential
+
+    def test_numeric_error_in_fold_1_keeps_fold_0(self, study_dir, capsys, monkeypatch):
+        config = study_dir / "run.ini"
+        config.write_text(RUN_CONFIG)
+        run = study_dir / "run"
+        assert main(["train", "--config", str(config)]) == 0
+        clean = {p.name: p.read_bytes() for p in run.iterdir()}
+        train_step = trainer._train_step
+        message = "non-finite gradient for parameter 'pred/w'; step aborted"
+
+        def failing(state, sub, model_cfg, cfg, fold_id, *rest):
+            if fold_id == 1 and state.step == 2:
+                raise NumericError(message)
+            return train_step(state, sub, model_cfg, cfg, fold_id, *rest)
+
+        monkeypatch.setattr(trainer, "_train_step", failing)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 4
+        assert capsys.readouterr().err == f"error: numeric: {message}\n"
+        # the rerun writes fold 0 afresh and keeps nothing of the clean run's fold 1
+        assert sorted(p.name for p in run.iterdir()) == [
+            "effective_config.ini", "fold0_final.gdml", "fold0_train.log", "fold1_train.log",
+        ]
+        for name in ("effective_config.ini", "fold0_final.gdml", "fold0_train.log"):
+            assert (run / name).read_bytes() == clean[name], name
+        # fold 1's log keeps every line before the failing step
+        lines = clean["fold1_train.log"].decode().splitlines(keepends=True)
+        failed_at = next(i for i, line in enumerate(lines) if line.startswith("step=2 "))
+        assert failed_at == 3 and lines[failed_at - 1].startswith("epoch=0 ")
+        assert (run / "fold1_train.log").read_text() == "".join(lines[:failed_at])
 
     def test_fold_pool_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -512,6 +545,19 @@ def raw_entry(name, tag, rank, dims):
     encoded = name.encode()
     return (data_io.MAGIC + struct.pack("<HIH", data_io.VERSION, 1, len(encoded)) + encoded
             + struct.pack(f"<BB{rank}I", tag, rank, *dims))
+
+
+def spy_infer(monkeypatch):
+    """Record every ``trainer.infer`` call."""
+    calls = []
+    infer = trainer.infer
+
+    def spy(*args):
+        calls.append(args)
+        return infer(*args)
+
+    monkeypatch.setattr(trainer, "infer", spy)
+    return calls
 
 
 def run_on_study(command, study_dir):
@@ -723,6 +769,34 @@ class TestMalformedInputs:
         assert_one_data_error(code, err)
         assert f"{manifest}: entry 'pred:{sid[:35]}'" in err, err[:200]
         assert not (study_dir / "p").exists()  # predict wrote nothing
+
+    # 65,530 bytes fit in a pred: entry name but not in a coords: one
+    @pytest.mark.parametrize("length,entry", [(70_000, "pred"), (65_530, "coords")])
+    def test_sample_id_too_long_exits_3_before_inference(self, study_dir, capsys, monkeypatch,
+                                                         length, entry):
+        calls = spy_infer(monkeypatch)
+        manifest = study_dir / "study" / "manifest.ini"
+        sid = "S" * length  # sorts after S00, which would be inferred first
+        manifest.write_text(manifest.read_text().replace("[sample:S01]", f"[sample:{sid}]"))
+        code = run_on_study("predict", study_dir)
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        name = f"{entry}:{sid}"
+        assert f"{manifest}: entry {name[:40]!r}... has a {len(name)}-byte name" in err, err[:200]
+        assert calls == []
+        assert not (study_dir / "p").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_out_naming_a_file_exits_5_before_inference(self, study_dir, capsys, monkeypatch, command):
+        calls = spy_infer(monkeypatch)
+        out = study_dir / "p"
+        out.write_text("not a directory\n")
+        code = run_on_study(command, study_dir)
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err == f"error: io: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'\n", err
+        assert calls == []
+        assert out.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     def test_coordinate_outside_int32_exits_3(self, study_dir, capsys, command):

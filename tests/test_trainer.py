@@ -192,14 +192,15 @@ class TestTrainFold:
             return evaluate_fold(*args)
 
         monkeypatch.setattr(trainer, "evaluate_fold", counting)
-        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        lines: list[str] = []
+        result = trainer.train_fold(0, plan, batches, mcfg, tcfg, on_line=lines.append)
         assert len(calls) == 1
         assert result.report.pcc_a == result.history[-1]["val_pcc_a"]
         assert result.report.mse == result.history[-1]["val_mse"]
         test = [b for b in batches if b.sample_id in set(plan.folds[0])]
         final = evaluate_fold(0, result.params_final, mcfg, test)
         assert final.per_gene_pcc.tobytes() == result.report.per_gene_pcc.tobytes()
-        epoch_lines = [line for line in result.log_lines if line.startswith("epoch=")]
+        epoch_lines = [line for line in lines if line.startswith("epoch=")]
         assert [" val_pcc_a=" in line for line in epoch_lines] == [False, False, True]
         assert ["val_pcc_a" in h for h in result.history] == [False, False, True]
 
@@ -228,15 +229,17 @@ class TestTrainFold:
             kmeans_n_init=2,
         )
         plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 3)
-        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
-        assert any("cross_skipped" in line for line in result.log_lines)
+        lines: list[str] = []
+        trainer.train_fold(0, plan, batches, mcfg, tcfg, on_line=lines.append)
+        assert any("cross_skipped" in line for line in lines)
 
         # one 50-spot training slide cut into 20 + 20 + 10: the 10-spot chunk is
         # below k and scores its cross term against step 1's centroids
         batches, mcfg = desk_setup(n_spots=50)
         tcfg = dataclasses.replace(tcfg, batch_size=20, k=15)
         plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 3)
-        lines = trainer.train_fold(0, plan, batches, mcfg, tcfg).log_lines
+        lines = []
+        trainer.train_fold(0, plan, batches, mcfg, tcfg, on_line=lines.append)
         reused = lines.index("step=2 epoch=0 event=centroids_reused n=10")
         assert not any("event=" in line for line in lines[:reused])
         assert lines[reused - 1].startswith("step=1 epoch=0 lr=")
@@ -250,8 +253,9 @@ class TestTrainFold:
             kmeans_n_init=2,
         )
         plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 5)
-        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
-        for line in result.log_lines:
+        lines: list[str] = []
+        trainer.train_fold(0, plan, batches, mcfg, tcfg, on_line=lines.append)
+        for line in lines:
             if not line.startswith("step=") or "event=" in line:
                 continue
             kv = dict(part.split("=") for part in line.split())
@@ -275,8 +279,9 @@ class TestTrainFold:
             cluster_refresh="epoch", kmeans_n_init=2,
         )
         plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 6)
-        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
-        steps = [line for line in result.log_lines if line.startswith("step=")]
+        lines: list[str] = []
+        result = trainer.train_fold(0, plan, batches, mcfg, tcfg, on_line=lines.append)
+        steps = [line for line in lines if line.startswith("step=")]
         skipped = [line for line in steps if "event=cross_skipped reason=no_centroids" in line]
         trained = [line for line in steps if "event=" not in line]
         assert len(skipped) == len(trained) == len(steps) // 2 > 0
@@ -312,7 +317,8 @@ class TestWarmStart:
         calls = spy_kmeans(monkeypatch)
         for fold_id in (0, 1):
             calls.clear()
-            lines = trainer.train_fold(fold_id, plan, batches, mcfg, tcfg).log_lines
+            lines: list[str] = []
+            trainer.train_fold(fold_id, plan, batches, mcfg, tcfg, on_line=lines.append)
             assert "step=2 epoch=0 event=centroids_reused n=10" in lines
             assert len(calls) == 8  # 2 epochs x 2 fits x (image, gene)
             assert calls[0][0] is None and calls[1][0] is None
@@ -375,7 +381,8 @@ class TestTrainStep:
             kmeans_n_init=2,
         )
         plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 3)
-        result = trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        logged: list[str] = []
+        result = trainer.train_fold(0, plan, batches, mcfg, tcfg, on_line=logged.append)
 
         train = [b for b in batches if b.sample_id not in set(plan.folds[0])]
         state = trainer._init_state(train, mcfg, tcfg, 0)
@@ -387,7 +394,7 @@ class TestTrainStep:
             lines.append(f"step={step} epoch=0 lr={lr!r} multi_ins={b.multi_ins!r} "
                          f"cross={b.cross!r} pred={b.pred!r} total={b.total!r}")
         assert state.step == 2
-        assert lines == result.log_lines[:-1]
+        assert lines == logged[:-1]
         assert "step=1 epoch=0 event=centroids_reused n=10" in lines
         assert result.params_final.keys() == state.params.keys()
         for name, value in result.params_final.items():
