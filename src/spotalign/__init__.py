@@ -3,7 +3,7 @@ with expression prediction, patient-grouped cross-validation, and reporting.
 """
 
 from . import autodiff, data_io, evaluation, grouping, losses, model, render, trainer
-from .autodiff import DiffTensor, Tape, grad_check
+from .autodiff import DiffTensor, Tape
 from .data_io import SpotBatch, SynthSpec, load_study, preprocess_expression, synth_generate
 from .errors import (
     ConfigError,
@@ -32,7 +32,6 @@ __all__ = [
     "trainer",
     "DiffTensor",
     "Tape",
-    "grad_check",
     "SpotBatch",
     "SynthSpec",
     "load_study",

@@ -10,6 +10,8 @@ echoes its fully-defaulted config to ``effective_config.ini`` in its output
 directory, and that file is itself a valid run config.  Each fold writes its
 log as it trains and its checkpoint when it ends, so a failed fold keeps its
 log up to the failing step; ``report.csv`` and ``summary.txt`` wait for all.
+A checkpoint or predictions container is for the genes, in their order, of
+the ``genes.txt`` beside it (``train`` and ``predict`` write one), if any.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure, 5 I/O
 error.  Errors print one line to stderr: ``error: <category>: <message>``.
@@ -22,8 +24,10 @@ import concurrent.futures
 import configparser
 import contextlib
 import errno
+import itertools
 import multiprocessing
 import os
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -170,6 +174,7 @@ def cmd_train(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     manifest, out_dir, model_kwargs, train_kwargs = _load_run_config(args.config)
+    genes = data_io.study_genes(manifest)[1]
     batches = _load_samples(manifest, scored=True)  # every sample is in some test fold
     first = batches[0]
     try:
@@ -195,9 +200,10 @@ def cmd_train(args) -> int:
         },
     )
 
-    stale = [f"fold{f}_{end}" for f in plan.folds for end in ("final.gdml", "train.log")]
-    for name in ("report.csv", "summary.txt", *stale):  # a failed rerun keeps none of the last run's
-        (out_dir / name).unlink(missing_ok=True)
+    data_io.write_gene_list(out_dir / "genes.txt", genes)  # the genes the checkpoints are for
+    stale = [p for p in out_dir.iterdir() if re.fullmatch(r"fold[0-9]+_(final\.gdml|train\.log)", p.name)]
+    for path in (out_dir / "report.csv", out_dir / "summary.txt", *stale):  # of any earlier run
+        path.unlink(missing_ok=True)
     payloads = [(f, plan, batches, model_cfg, train_cfg, out_dir) for f in sorted(plan.folds)]
     if args.jobs > 1:
         with _fold_pool(args.jobs) as pool:
@@ -235,6 +241,19 @@ def _load_samples(manifest_path, scored: bool) -> list[data_io.SpotBatch]:
     return batches
 
 
+def _genes_for(made_from, manifest) -> list[str]:
+    """The study's gene list, refused unless it is the ``genes.txt`` beside
+    ``made_from`` (a checkpoint or predictions container) when there is one."""
+    study_file, genes = data_io.study_genes(manifest)
+    made_for = Path(made_from).parent / "genes.txt"
+    if made_for.exists() and (names := data_io.read_gene_list(made_for)) != genes:
+        i, pair = next((i, p) for i, p in enumerate(itertools.zip_longest(names, genes)) if p[0] != p[1])
+        got, want = ("no gene" if name is None else repr(name) for name in pair)
+        raise DataError(f"{made_for} lists {got} as gene {i + 1} where {study_file} lists {want}; "
+                        f"{made_from} is only for the genes beside it, in their order")
+    return genes
+
+
 def _prediction(entries, path, sid: str, shape: tuple) -> np.ndarray:
     """Entry ``pred:<sid>`` of a predictions container: a finite matrix of ``shape``."""
     pred = entries.get(f"pred:{sid}")
@@ -258,6 +277,7 @@ def _out_dir(path) -> Path:
 def cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.predictions is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --predictions")
+    _genes_for(args.predictions if args.checkpoint is None else args.checkpoint, args.manifest)
     samples = sorted(_load_samples(args.manifest, scored=True), key=lambda b: b.sample_id)
     out_dir = _out_dir(args.out)
     if args.checkpoint is not None:
@@ -274,6 +294,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    genes = _genes_for(args.checkpoint, args.manifest)
     params, model_cfg = model.load_checkpoint(args.checkpoint)
     samples = sorted(_load_samples(args.manifest, scored=False), key=lambda b: b.sample_id)
     try:
@@ -289,9 +310,7 @@ def cmd_predict(args) -> int:
         entries[f"coords:{b.sample_id}"] = b.coords
     out_dir.mkdir(parents=True, exist_ok=True)
     data_io.write_container(out_dir / "predictions.gdml", entries)
-
-    gene_file = Path(args.manifest).parent / data_io.read_ini(args.manifest)["study"]["genes"]
-    data_io.write_gene_list(out_dir / "genes.txt", data_io.read_gene_list(gene_file))
+    data_io.write_gene_list(out_dir / "genes.txt", genes)
     print(f"predictions={out_dir / 'predictions.gdml'}")
     return 0
 

@@ -203,6 +203,8 @@ class SpotBatch:
 # ---------------------------------------------------------------------------
 # preprocessing
 
+COUNT_SCALE = 1e4  # a spot's counts sum to this after normalization, before log1p
+
 
 @dataclass
 class PreprocessResult:
@@ -211,16 +213,12 @@ class PreprocessResult:
     n_dropped: int
 
 
-def preprocess_expression(
-    raw_counts: np.ndarray,
-    column_names: list[str],
-    gene_list: list[str],
-    scale: float = 1e4,
-) -> PreprocessResult:
+def preprocess_expression(raw_counts: np.ndarray, column_names: list[str],
+                          gene_list: list[str]) -> PreprocessResult:
     """Select genes, normalize per spot, log-transform.
 
-    Each spot's counts are scaled by ``scale / total`` where the total runs
-    over ALL columns (before selection), then mapped through log(1 + x).
+    Each spot's counts are scaled by ``COUNT_SCALE / total`` where the total
+    runs over ALL columns (before selection), then mapped through log(1 + x).
     Spots whose total count is zero are dropped and counted; counts so large
     that a total or a scaled count overflows raise.
     """
@@ -238,7 +236,7 @@ def preprocess_expression(
         totals = raw.sum(axis=1)
         keep = totals > 0
         selected = raw[keep][:, cols]
-        expr = np.log1p(scale * selected / totals[keep, None])
+        expr = np.log1p(COUNT_SCALE * selected / totals[keep, None])
     if not (np.all(totals < np.inf) and np.all(expr < np.inf)):
         raise DataError(f"counts must be finite, >= 0 and small enough to normalize, largest {raw.max()!r}")
     return PreprocessResult(expr, keep, int((~keep).sum()))
@@ -313,6 +311,29 @@ def write_coords(path, spot_ids: list[str], coords: np.ndarray) -> None:
             f.write(f"{sid}\t{int(r)}\t{int(c)}\n")
 
 
+def study_genes(manifest_path) -> tuple[Path, list[str]]:
+    """A manifest's ``[study] genes`` file and the genes it selects (at least one)."""
+    return _study_files(read_ini(manifest_path), Path(manifest_path))[1:]
+
+
+def _study_files(parser, manifest_path: Path) -> tuple[Path, Path, list[str]]:
+    """The ``[study]`` columns and genes files, and the genes selected (at least one)."""
+    if "study" not in parser:
+        raise DataError(f"{manifest_path}: missing [study] section")
+    study = parser["study"]
+    unknown = set(study) - _STUDY_KEYS
+    if unknown:
+        raise DataError(f"{manifest_path}: unknown study keys {sorted(unknown)}")
+    missing = _STUDY_KEYS - set(study)
+    if missing:
+        raise DataError(f"{manifest_path}: [study] missing keys {sorted(missing)}")
+    columns, genes = (manifest_path.parent / study[key] for key in ("columns", "genes"))
+    names = read_gene_list(genes)
+    if not names:
+        raise DataError(f"{genes}: selects no genes")
+    return columns, genes, names
+
+
 def load_study(manifest_path) -> list[SpotBatch]:
     """Load every sample in a manifest, cross-checking dimensions.
 
@@ -325,20 +346,9 @@ def load_study(manifest_path) -> list[SpotBatch]:
     sample_sections = [s for s in parser.sections() if s.startswith("sample:")]
     if not sample_sections:
         return []
-    if "study" not in parser:
-        raise DataError(f"{manifest_path}: missing [study] section")
-    study = parser["study"]
-    unknown = set(study) - _STUDY_KEYS
-    if unknown:
-        raise DataError(f"{manifest_path}: unknown study keys {sorted(unknown)}")
-    missing = _STUDY_KEYS - set(study)
-    if missing:
-        raise DataError(f"{manifest_path}: [study] missing keys {sorted(missing)}")
+    columns_file, _, gene_list = _study_files(parser, manifest_path)
+    column_names = read_gene_list(columns_file)
     base = manifest_path.parent
-    column_names = read_gene_list(base / study["columns"])
-    gene_list = read_gene_list(base / study["genes"])
-    if not gene_list:
-        raise DataError(f"{base / study['genes']}: selects no genes")
 
     batches = []
     first = None

@@ -23,6 +23,7 @@ _RAMP = (
     (0.75, (94, 201, 98)),
     (1.0, (253, 231, 37)),
 )
+HEX_RADIUS = 10.0  # center-to-corner size of a spot's hexagon, in SVG units
 
 
 def value_to_color(t: float) -> str:
@@ -53,7 +54,7 @@ def _hex_points(cx: float, cy: float, r: float) -> str:
     return " ".join(pts)
 
 
-def render_hex_svg(coords, values, out_path=None, title: str = "", radius: float = 10.0) -> str:
+def render_hex_svg(coords, values, out_path=None, title: str = "") -> str:
     """Render one hexagon per spot; returns the SVG text.
 
     ``coords`` is an N x 2 integer array of (row, col); ``values`` the
@@ -66,9 +67,9 @@ def render_hex_svg(coords, values, out_path=None, title: str = "", radius: float
             f"coords {coords.shape} and values {values.shape} must be N x 2 and N"
         )
     t = normalize_values(values)
-    width_step = math.sqrt(3.0) * radius
-    height_step = 1.5 * radius
-    margin = 2.0 * radius
+    width_step = math.sqrt(3.0) * HEX_RADIUS
+    height_step = 1.5 * HEX_RADIUS
+    margin = 2.0 * HEX_RADIUS
 
     xs = (coords[:, 1] + 0.5 * (coords[:, 0] % 2)) * width_step + margin
     ys = coords[:, 0] * height_step + margin
@@ -84,7 +85,7 @@ def render_hex_svg(coords, values, out_path=None, title: str = "", radius: float
     offset = 18 if title else 0
     for i in range(coords.shape[0]):
         parts.append(
-            f'<polygon points="{_hex_points(float(xs[i]), float(ys[i]) + offset, radius * 0.95)}" '
+            f'<polygon points="{_hex_points(float(xs[i]), float(ys[i]) + offset, HEX_RADIUS * 0.95)}" '
             f'fill="{value_to_color(float(t[i]))}" data-value="{t[i]:.6f}"/>'
         )
     parts.append("</svg>")

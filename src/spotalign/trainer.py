@@ -1,8 +1,11 @@
 """Optimization loop: patient-grouped folds, Adam with step decay, centroid
-refresh per batch (warm-started from the previous step's centroids) or per
-epoch, and ``train_fold``, which runs one ``_train_step`` per batch of each
-epoch's ``_schedule`` (a ``_FoldState`` carries what one step hands the next)
-and scores the final parameters once.
+refresh per batch or per epoch, and ``train_fold``, which runs one
+``_train_step``, on its own tape, per batch of each epoch's ``_schedule`` (a
+``_FoldState`` carries what one step hands the next), hands each log line to
+``on_line`` and scores the final parameters once.  ``kmeans_n_init`` counts
+the k-means++ restarts of every epoch-mode fit and of a fold's first
+batch-mode fit; every later batch-mode fit is one Lloyd run from the previous
+step's centroids, a warm start as in mini-batch k-means (Sculley, WWW 2010).
 
 Every random stream (init, shuffling, dropout, clustering) is derived from
 the config seed plus structural indices, so a full training run is a pure
@@ -323,15 +326,11 @@ def _centroids(const_pt, embeddings, cfg: TrainConfig, seeds, init=None) -> tupl
 
 def infer(params: dict[str, np.ndarray], model_cfg: model.ModelConfig, batch: SpotBatch) -> np.ndarray:
     """Eval-mode prediction from the image pathway only."""
-    if batch.n_genes != model_cfg.n_genes:
-        raise DataError(
-            f"sample {batch.sample_id} has {batch.n_genes} genes, model expects {model_cfg.n_genes}"
-        )
-    if batch.local_feat.shape[1] != model_cfg.d_in:
-        raise DataError(
-            f"sample {batch.sample_id} features have dim {batch.local_feat.shape[1]}, "
-            f"model expects {model_cfg.d_in}"
-        )
+    for what, got, want in (("genes", batch.n_genes, model_cfg.n_genes),
+                            ("feature dims", batch.local_feat.shape[1], model_cfg.d_in),
+                            ("neighbor tokens", batch.neighbor_feat.shape[1], model_cfg.neighbor_tokens)):
+        if got != want:
+            raise DataError(f"sample {batch.sample_id} has {got} {what}, model expects {want}")
     return model.forward_image(model.as_tensors(params), batch, model_cfg).data
 
 

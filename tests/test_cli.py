@@ -371,15 +371,29 @@ class TestTrainPipeline:
         assert capsys.readouterr().err == f"error: numeric: {message}\n"
         # the rerun writes fold 0 afresh and keeps nothing of the clean run's fold 1
         assert sorted(p.name for p in run.iterdir()) == [
-            "effective_config.ini", "fold0_final.gdml", "fold0_train.log", "fold1_train.log",
+            "effective_config.ini", "fold0_final.gdml", "fold0_train.log", "fold1_train.log", "genes.txt",
         ]
-        for name in ("effective_config.ini", "fold0_final.gdml", "fold0_train.log"):
+        for name in ("effective_config.ini", "fold0_final.gdml", "fold0_train.log", "genes.txt"):
             assert (run / name).read_bytes() == clean[name], name
         # fold 1's log keeps every line before the failing step
         lines = clean["fold1_train.log"].decode().splitlines(keepends=True)
         failed_at = next(i for i, line in enumerate(lines) if line.startswith("step=2 "))
         assert failed_at == 3 and lines[failed_at - 1].startswith("epoch=0 ")
         assert (run / "fold1_train.log").read_text() == "".join(lines[:failed_at])
+
+    def test_rerun_removes_every_earlier_fold(self, study_dir):
+        # a folds = 3 run, say, left fold2_*: this two-fold run keeps none of them
+        run = study_dir / "run"
+        run.mkdir()
+        stale = ["fold2_final.gdml", "fold2_train.log", "fold10_final.gdml"]
+        kept = ["fold2_final.gdml.bak", "foldx_train.log", "notes.txt"]
+        for name in stale + kept:
+            (run / name).write_text("an earlier run's\n")
+        assert run_on_study("train", study_dir) == 0
+        assert sorted(p.name for p in run.iterdir()) == sorted([
+            *kept, "effective_config.ini", "genes.txt", "report.csv", "summary.txt",
+            "fold0_final.gdml", "fold0_train.log", "fold1_final.gdml", "fold1_train.log",
+        ])
 
     def test_fold_pool_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -511,6 +525,38 @@ class TestEvalFixtures:
             "eval", "--predictions", str(fixture),
             "--manifest", str(manifest), "--out", str(study_dir / "y"),
         ]) == 3
+
+
+class TestGeneLists:
+    """A checkpoint or predictions container is for the genes, in the order,
+    of the ``genes.txt`` beside it."""
+
+    def test_train_writes_the_study_genes(self, study_dir):
+        assert run_on_study("train", study_dir) == 0
+        genes = data_io.read_gene_list(study_dir / "study" / "genes.txt")
+        assert (study_dir / "run" / "genes.txt").read_text() == "".join(f"{g}\n" for g in genes)
+
+    @pytest.mark.parametrize("command", ["eval", "eval --predictions", "predict"])
+    def test_reordered_study_genes_exit_3_before_inference(self, study_dir, capsys, monkeypatch, command):
+        manifest, study_genes = study_dir / "study" / "manifest.ini", study_dir / "study" / "genes.txt"
+        genes = data_io.read_gene_list(study_genes)
+        made_for = study_dir / "genes.txt"  # beside run_on_study's checkpoint and the predictions below
+        data_io.write_gene_list(made_for, genes)
+        data_io.write_gene_list(study_genes, genes[::-1])
+        calls = spy_infer(monkeypatch)
+        if command == "eval --predictions":
+            predictions = study_dir / "predictions.gdml"
+            data_io.write_container(predictions, {
+                f"pred:{b.sample_id}": b.expression for b in data_io.load_study(manifest)})
+            code = main(["eval", "--predictions", str(predictions),
+                         "--manifest", str(manifest), "--out", str(study_dir / "p")])
+        else:
+            code = run_on_study(command, study_dir)
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert f"{made_for} lists {genes[0]!r} as gene 1 where {study_genes} lists {genes[-1]!r}" in err, err
+        assert calls == []
+        assert not (study_dir / "p").exists()
 
 
 def assert_one_error(code, err, want):
@@ -784,6 +830,17 @@ class TestMalformedInputs:
         name = f"{entry}:{sid}"
         assert f"{manifest}: entry {name[:40]!r}... has a {len(name)}-byte name" in err, err[:200]
         assert calls == []
+        assert not (study_dir / "p").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_neighbor_token_mismatch_names_the_sample(self, study_dir, capsys, command):
+        for sid in ("S00", "S01"):  # 9 tokens where run_on_study's checkpoint expects 25
+            path = study_dir / "study" / f"{sid}_neighbor.gdml"
+            data_io.write_container(path, {"neighbor": data_io.read_container(path)["neighbor"][:, :9]})
+        code = run_on_study(command, study_dir)
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert "sample S00 has 9 neighbor tokens, model expects 25" in err, err
         assert not (study_dir / "p").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])

@@ -10,6 +10,8 @@ from spotalign import losses
 from spotalign.errors import ContractError, ShapeError
 from spotalign.trainer import TrainConfig
 
+from gradcheck import grad_check
+
 
 def np_log_softmax(z):
     z = z - z.max(axis=1, keepdims=True)
@@ -135,7 +137,7 @@ class TestMultiScaleInstanceLoss:
             )
             return loss
 
-        assert ad.grad_check(f, fixed[0]) <= 1e-4
+        assert grad_check(f, fixed[0]) <= 1e-4
 
         def f_gene(x):
             loss, _ = losses.multi_scale_instance_loss(
@@ -143,7 +145,7 @@ class TestMultiScaleInstanceLoss:
             )
             return loss
 
-        assert ad.grad_check(f_gene, gene) <= 1e-4
+        assert grad_check(f_gene, gene) <= 1e-4
 
 
 class TestCrossLevelLoss:
@@ -227,7 +229,7 @@ class TestCrossLevelLoss:
                 x, ad.constant(g_ins), c_gene, c_img, ia, ga, tau
             )
 
-        assert ad.grad_check(f_hard, x0) <= 1e-4
+        assert grad_check(f_hard, x0) <= 1e-4
 
 
 class TestPredictionLoss:
@@ -252,7 +254,7 @@ class TestPredictionLoss:
     def test_gradient(self):
         rng = np.random.default_rng(11)
         target = rng.normal(size=(4, 3))
-        err = ad.grad_check(lambda x: losses.prediction_loss(x, target), rng.normal(size=(4, 3)))
+        err = grad_check(lambda x: losses.prediction_loss(x, target), rng.normal(size=(4, 3)))
         assert err <= 1e-6
 
 

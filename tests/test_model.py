@@ -15,6 +15,8 @@ from spotalign import data_io, model, trainer
 from spotalign.data_io import SpotBatch
 from spotalign.errors import ContractError, ShapeError
 
+from gradcheck import grad_check
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -353,7 +355,7 @@ class TestModelInvariants:
         # h = 1e-4 keeps the finite-difference oracle itself out of the
         # roundoff regime for parameters with near-zero gradients
         for name, value in params.items():
-            err = ad.grad_check(loss_for(name), value, h=1e-4)
+            err = grad_check(loss_for(name), value, h=1e-4)
             assert err <= 1e-4, f"gradient mismatch for {name}: {err}"
 
     def test_save_load_forward_bitwise(self, tmp_path):
