@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import configparser
 import contextlib
 import errno
 import itertools
@@ -98,12 +97,10 @@ def _read_sections(parser, layout: dict[str, dict]) -> dict[str, dict]:
 
 def _echo_config(path, values: dict[str, dict]) -> None:
     """Write section -> {field: value} under the keys the reader accepts."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    for name, keymap in _RUN_SECTIONS.items():
-        parser[name] = {key: str(values[name][field]) for key, (field, _) in keymap.items()}
-    with open(path, "w") as f:
-        parser.write(f)
+    data_io.write_ini(path, {
+        name: {key: values[name][field] for key, (field, _) in keymap.items()}
+        for name, keymap in _RUN_SECTIONS.items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -257,15 +257,28 @@ def read_text(path, error: type[Exception] = DataError) -> str:
         raise error(f"cannot read {path}: {exc}") from exc
 
 
-def read_ini(path, error: type[Exception] = DataError) -> configparser.ConfigParser:
-    """A manifest, run config or spec: case-kept keys, no interpolation."""
+def _ini_parser() -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
+    return parser
+
+
+def read_ini(path, error: type[Exception] = DataError) -> configparser.ConfigParser:
+    """A manifest, run config or spec: case-kept keys, no interpolation."""
+    parser = _ini_parser()
     try:
         parser.read_string(read_text(path, error), source=str(path))
     except configparser.Error as exc:
         raise error(f"malformed {path}: {exc}") from exc
     return parser
+
+
+def write_ini(path, sections: dict[str, dict]) -> None:
+    """Write section -> {key: value} in the dialect ``read_ini`` reads; values go through str()."""
+    parser = _ini_parser()
+    parser.read_dict(sections)
+    with open(path, "w") as f:
+        parser.write(f)
 
 
 def read_gene_list(path) -> list[str]:
@@ -338,7 +351,8 @@ def load_study(manifest_path) -> list[SpotBatch]:
     """Load every sample in a manifest, cross-checking dimensions.
 
     Image features must be finite and counts finite and >= 0, and every sample
-    must have the first sample's feature dimension and neighbor-token count.
+    must have the first sample's feature dimension and neighbor-token count,
+    neither of which may be 0.
     Zero-total spots are dropped during preprocessing.
     """
     manifest_path = Path(manifest_path)
@@ -387,6 +401,10 @@ def load_study(manifest_path) -> list[SpotBatch]:
         if not np.all(np.isfinite(counts)) or np.any(counts < 0):
             raise DataError(f"{expr_path}: counts must be finite and >= 0")
         if first is None:  # every sample must have the first one's per-spot shapes
+            for path, size, what in ((local_path, local.shape[1], "feature width"),
+                                     (neighbor_path, neighbor.shape[1], "neighbor-token count")):
+                if size == 0:
+                    raise DataError(f"{path}: {what} is 0, must be >= 1")
             first = sid, local.shape[1:], (neighbor.shape[1], local.shape[1])
         for path, arr, want in ((local_path, local, first[1]), (neighbor_path, neighbor, first[2])):
             if not np.all(np.isfinite(arr)):
@@ -486,7 +504,6 @@ class SynthSample:
 
 @dataclass
 class SynthStudy:
-    spec: SynthSpec
     samples: list[SynthSample]
     column_names: list[str]
     gene_list: list[str]
@@ -572,7 +589,6 @@ def synth_generate(spec: SynthSpec) -> SynthStudy:
 
     column_names = [f"gene_{i:04d}" for i in range(spec.n_genes)]
     return SynthStudy(
-        spec=spec,
         samples=samples,
         column_names=column_names,
         gene_list=list(column_names),
@@ -597,16 +613,14 @@ def write_study(study: SynthStudy, out_dir) -> Path:
     write_gene_list(out / "columns.txt", study.column_names)
     write_gene_list(out / "genes.txt", study.gene_list)
 
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser["study"] = {"columns": "columns.txt", "genes": "genes.txt"}
+    sections = {"study": {"columns": "columns.txt", "genes": "genes.txt"}}
     for s in study.samples:
         write_container(out / f"{s.sample_id}_local.gdml", {"local": s.local})
         write_container(out / f"{s.sample_id}_neighbor.gdml", {"neighbor": s.neighbor})
         write_container(out / f"{s.sample_id}_expression.gdml", {"counts": s.counts})
         spot_ids = [f"{s.sample_id}_spot{i:04d}" for i in range(s.coords.shape[0])]
         write_coords(out / f"{s.sample_id}_coords.tsv", spot_ids, s.coords)
-        parser[f"sample:{s.sample_id}"] = {
+        sections[f"sample:{s.sample_id}"] = {
             "patient": s.patient_id,
             "local": f"{s.sample_id}_local.gdml",
             "neighbor": f"{s.sample_id}_neighbor.gdml",
@@ -614,6 +628,5 @@ def write_study(study: SynthStudy, out_dir) -> Path:
             "coords": f"{s.sample_id}_coords.tsv",
         }
     manifest = out / "manifest.ini"
-    with open(manifest, "w") as f:
-        parser.write(f)
+    write_ini(manifest, sections)
     return manifest

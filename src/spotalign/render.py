@@ -73,6 +73,8 @@ def render_hex_svg(coords, values, out_path=None, title: str = "") -> str:
 
     xs = (coords[:, 1] + 0.5 * (coords[:, 0] % 2)) * width_step + margin
     ys = coords[:, 0] * height_step + margin
+    if len(xs):  # a centre left of or above the margin (negative coordinates) shifts the grid
+        xs, ys = xs + max(0.0, margin - xs.min()), ys + max(0.0, margin - ys.min())
     width = float(xs.max() + margin) if len(xs) else 2 * margin
     height = float(ys.max() + margin) if len(ys) else 2 * margin
 

@@ -872,6 +872,8 @@ class TestMalformedInputs:
         ("inf_neighbor", "S01_neighbor.gdml"),
         ("d_in", "S01_local.gdml"),
         ("tokens", "S01_neighbor.gdml"),
+        ("zero_d_in", "S00_local.gdml"),
+        ("zero_tokens", "S00_neighbor.gdml"),
         ("nan_counts", "S01_expression.gdml"),
         ("inf_counts", "S01_expression.gdml"),
         ("negative_count", "S01_expression.gdml"),
@@ -883,8 +885,8 @@ class TestMalformedInputs:
     ):
         study = study_dir / "study"
 
-        def rewrite(entry, change, name=None):
-            path = study / f"S01_{entry}.gdml"
+        def rewrite(entry, change, name=None, sid="S01"):
+            path = study / f"{sid}_{entry}.gdml"
             name = name or entry
             data_io.write_container(path, {name: change(data_io.read_container(path)[name])})
 
@@ -897,6 +899,11 @@ class TestMalformedInputs:
             rewrite("neighbor", lambda a: a[:, :, :-1])
         elif fault == "tokens":
             rewrite("neighbor", lambda a: a[:, :-1])
+        elif fault.startswith("zero_"):  # every sample, so all match the first one's shapes
+            for sid in ("S00", "S01"):
+                if fault == "zero_d_in":
+                    rewrite("local", lambda a: a[:, :0], sid=sid)
+                rewrite("neighbor", lambda a: a[..., :0] if fault == "zero_d_in" else a[:, :0], sid=sid)
         else:
             # one NaN, one inf, a negative count in a spot with a positive total, and a
             # spot of (-4, 4, 0, ...) whose zero total preprocessing would have dropped
@@ -1009,6 +1016,22 @@ class TestRenderFixture:
         polys = [el for el in root.iter() if el.tag.endswith("polygon")]
         assert len(polys) == 3
         assert [p.get("fill") for p in polys] == [value_to_color(t) for t in (0.0, 0.5, 1.0)]
+
+    def test_negative_coordinates_stay_on_the_canvas(self, tmp_path):
+        fixture = tmp_path / "p.gdml"
+        coords = np.array([[-3, -4], [0, 0], [2, 5], [-1, 2]], dtype=np.int32)
+        data_io.write_container(fixture, {"pred:T": np.arange(4.0)[:, None], "coords:T": coords})
+        data_io.write_gene_list(tmp_path / "genes.txt", ["g0"])
+        out = tmp_path / "neg.svg"
+        assert main(["render", "--predictions", str(fixture), "--gene", "g0", "--out", str(out)]) == 0
+        root = ET.fromstring(out.read_text())
+        width, height = float(root.get("width")), float(root.get("height"))
+        polys = [el for el in root.iter() if el.tag.endswith("polygon")]
+        assert len(polys) == 4
+        for poly in polys:
+            for point in poly.get("points").split():
+                x, y = map(float, point.split(","))
+                assert 0 <= x <= width and 0 <= y <= height, (point, width, height)
 
 
 class TestRenderErrors:

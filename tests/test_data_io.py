@@ -288,6 +288,12 @@ class TestStudyRoundtrip:
         with pytest.raises(DataError, match="S00_expression.gdml.*8 spots, expected 9"):
             data_io.load_study(manifest)
 
+    def test_write_ini_round_trips_through_read_ini(self, tmp_path):
+        path = tmp_path / "x.ini"
+        data_io.write_ini(path, {"Sec": {"CaseKept": "100%", "path": tmp_path, "n": 3}})
+        parser = data_io.read_ini(path)
+        assert dict(parser["Sec"]) == {"CaseKept": "100%", "path": str(tmp_path), "n": "3"}
+
     def test_unknown_manifest_key_rejected(self, tmp_path):
         spec = data_io.SynthSpec(n_spots=6, n_slides=1, latent_dim=3, n_genes=4, d_in=6, seed=6)
         manifest = data_io.write_study(data_io.synth_generate(spec), tmp_path)
