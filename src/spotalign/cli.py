@@ -174,12 +174,9 @@ def cmd_train(args) -> int:
     genes = data_io.study_genes(manifest)[1]
     batches = _load_samples(manifest, scored=True)  # every sample is in some test fold
     first = batches[0]
-    try:
-        model_cfg = model.ModelConfig(n_genes=first.n_genes, d_in=first.local_feat.shape[1],
-                                      neighbor_tokens=first.neighbor_feat.shape[1], **model_kwargs)
-        train_cfg = trainer.TrainConfig(**train_kwargs)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
+    model_cfg = model.ModelConfig(n_genes=first.n_genes, d_in=first.local_feat.shape[1],
+                                  neighbor_tokens=first.neighbor_feat.shape[1], **model_kwargs)
+    train_cfg = trainer.TrainConfig(**train_kwargs)
 
     plan = trainer.make_folds(
         [(b.sample_id, b.patient_id) for b in batches], train_cfg.n_folds, train_cfg.seed
@@ -220,7 +217,7 @@ def _write_reports(out_dir: Path, reports: list[evaluation.FoldReport]) -> None:
     hpg = evaluation.select_hpg(reports, top=min(50, reports[0].n_genes))
     summary = evaluation.aggregate(reports, hpg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluation.write_report_csv(out_dir / "report.csv", reports, summary)
+    evaluation.write_report_csv(out_dir / "report.csv", reports, summary, hpg)
     text = evaluation.format_report_text(reports, summary)
     (out_dir / "summary.txt").write_text(text)
     print(text, end="")
@@ -263,25 +260,32 @@ def _prediction(entries, path, sid: str, shape: tuple) -> np.ndarray:
 
 
 def _out_dir(path) -> Path:
-    """``path``, refused with ``mkdir``'s error if it names a non-directory; not
-    created yet, so a command that fails before writing leaves nothing."""
+    """``path``, refused with ``mkdir``'s error if it or its nearest existing
+    ancestor is not a directory; not created yet, so a command that fails
+    before writing leaves nothing."""
     out_dir = Path(path)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out_dir))
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        code = errno.EEXIST if nearest == out_dir else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out_dir))
     return out_dir
 
 
 def cmd_eval(args) -> int:
+    """Score a checkpoint or a predictions container on every sample of the
+    study as one fold.  The gene list, ``--out`` and the checkpoint or
+    container are checked before the study is loaded."""
     if (args.checkpoint is None) == (args.predictions is None):
         raise ConfigError("eval needs exactly one of --checkpoint or --predictions")
     _genes_for(args.predictions if args.checkpoint is None else args.checkpoint, args.manifest)
-    samples = sorted(_load_samples(args.manifest, scored=True), key=lambda b: b.sample_id)
     out_dir = _out_dir(args.out)
     if args.checkpoint is not None:
         params, model_cfg = model.load_checkpoint(args.checkpoint)
+        samples = sorted(_load_samples(args.manifest, scored=True), key=lambda b: b.sample_id)
         report = trainer.evaluate_fold(0, params, model_cfg, samples)
     else:
         entries = data_io.read_container(args.predictions)
+        samples = sorted(_load_samples(args.manifest, scored=True), key=lambda b: b.sample_id)
         report = evaluation.build_fold_report(0, [
             (b.expression, _prediction(entries, args.predictions, b.sample_id, b.expression.shape))
             for b in samples
@@ -291,7 +295,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Write each sample's predictions and coordinates to one container.  The
+    gene list, ``--out`` and the checkpoint are checked before the study is
+    loaded, and every entry name before any inference."""
     genes = _genes_for(args.checkpoint, args.manifest)
+    out_dir = _out_dir(args.out)
     params, model_cfg = model.load_checkpoint(args.checkpoint)
     samples = sorted(_load_samples(args.manifest, scored=False), key=lambda b: b.sample_id)
     try:
@@ -300,7 +308,6 @@ def cmd_predict(args) -> int:
             data_io.check_entry_name(f"coords:{b.sample_id}")
     except ContractError as exc:  # a sample id is data: one too long for an entry name
         raise DataError(f"{args.manifest}: {exc}") from exc
-    out_dir = _out_dir(args.out)
     entries: dict[str, np.ndarray] = {}
     for b in samples:
         entries[f"pred:{b.sample_id}"] = trainer.infer(params, model_cfg, b)

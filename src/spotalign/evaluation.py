@@ -133,7 +133,7 @@ def build_fold_report(
     return FoldReport(fold_id=fold_id, per_gene_pcc=gene, mse=mse, mae=mae)
 
 
-def select_hpg(fold_reports: list[FoldReport], top: int = 50) -> list[int]:
+def select_hpg(fold_reports: list[FoldReport], top: int) -> list[int]:
     """Top genes by average rank across folds; ties broken by gene index."""
     if not fold_reports:
         raise ContractError("select_hpg needs at least one fold report")
@@ -144,49 +144,28 @@ def select_hpg(fold_reports: list[FoldReport], top: int = 50) -> list[int]:
     return np.argsort(mean_rank, kind="stable")[:top].tolist()
 
 
-@dataclass
-class EvalSummary:
-    mse: float
-    mse_std: float
-    mae: float
-    mae_std: float
-    pcc_a: float
-    pcc_a_std: float
-    pcc_h: float
-    pcc_h_std: float
-    hpg: list[int]
-    undefined_per_fold: list[int]
-
-
-def aggregate(fold_reports: list[FoldReport], hpg: list[int]) -> EvalSummary:
-    """Cross-fold means and stds for MSE, MAE, PCC(A), and PCC(H)."""
+def aggregate(fold_reports: list[FoldReport], hpg: list[int]) -> dict[str, tuple[float, float]]:
+    """Cross-fold (mean, std) of MSE, MAE, PCC(A), and PCC(H) over the ``hpg``
+    genes, keyed ``mse``, ``mae``, ``pcc_a``, ``pcc_h`` in that order."""
     if not fold_reports:
         raise ContractError("aggregate needs at least one fold report")
     hpg_arr = np.asarray(hpg, dtype=np.int64)
-    pcc_a = np.array([r.pcc_a for r in fold_reports])
-    pcc_h = np.array([_nanmean(r.per_gene_pcc[hpg_arr]) for r in fold_reports])
-    mse = np.array([r.mse for r in fold_reports])
-    mae = np.array([r.mae for r in fold_reports])
-    return EvalSummary(
-        mse=float(mse.mean()),
-        mse_std=float(mse.std()),
-        mae=float(mae.mean()),
-        mae_std=float(mae.std()),
-        pcc_a=float(pcc_a.mean()),
-        pcc_a_std=float(pcc_a.std()),
-        pcc_h=float(pcc_h.mean()),
-        pcc_h_std=float(pcc_h.std()),
-        hpg=list(hpg),
-        undefined_per_fold=[r.n_undefined for r in fold_reports],
-    )
+    per_fold = {
+        "mse": [r.mse for r in fold_reports],
+        "mae": [r.mae for r in fold_reports],
+        "pcc_a": [r.pcc_a for r in fold_reports],
+        "pcc_h": [_nanmean(r.per_gene_pcc[hpg_arr]) for r in fold_reports],
+    }
+    return {name: (float(np.mean(v)), float(np.std(v))) for name, v in per_fold.items()}
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
 
-def write_report_csv(path, fold_reports: list[FoldReport], summary: EvalSummary) -> None:
-    """Machine-readable long-format table: fold, metric, value."""
+def write_report_csv(path, fold_reports: list[FoldReport], summary: dict, hpg: list[int]) -> None:
+    """Machine-readable long-format table: fold, metric, value.  Each fold's
+    rows, then each ``summary`` metric's mean and ``_std`` rows, then ``hpg``."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["fold", "metric", "value"])
@@ -195,23 +174,17 @@ def write_report_csv(path, fold_reports: list[FoldReport], summary: EvalSummary)
             writer.writerow([r.fold_id, "mae", repr(r.mae)])
             writer.writerow([r.fold_id, "pcc_a", repr(r.pcc_a)])
             writer.writerow([r.fold_id, "undefined_genes", r.n_undefined])
-        for name in ("mse", "mae", "pcc_a", "pcc_h"):
-            writer.writerow(["summary", name, repr(getattr(summary, name))])
-            writer.writerow(["summary", f"{name}_std", repr(getattr(summary, f"{name}_std"))])
-        writer.writerow(["summary", "hpg", " ".join(str(g) for g in summary.hpg)])
+        for name, (mean, std) in summary.items():
+            writer.writerow(["summary", name, repr(mean)])
+            writer.writerow(["summary", f"{name}_std", repr(std)])
+        writer.writerow(["summary", "hpg", " ".join(str(g) for g in hpg)])
 
 
-def format_report_text(fold_reports: list[FoldReport], summary: EvalSummary) -> str:
-    lines = []
-    for r in fold_reports:
-        lines.append(
-            f"fold {r.fold_id}: mse={r.mse:.6f} mae={r.mae:.6f} "
-            f"pcc_a={r.pcc_a:.6f} undefined={r.n_undefined}/{r.n_genes}"
-        )
-    lines.append(
-        f"summary: mse={summary.mse:.6f}±{summary.mse_std:.6f} "
-        f"mae={summary.mae:.6f}±{summary.mae_std:.6f} "
-        f"pcc_a={summary.pcc_a:.6f}±{summary.pcc_a_std:.6f} "
-        f"pcc_h={summary.pcc_h:.6f}±{summary.pcc_h_std:.6f}"
-    )
+def format_report_text(fold_reports: list[FoldReport], summary: dict) -> str:
+    lines = [
+        f"fold {r.fold_id}: mse={r.mse:.6f} mae={r.mae:.6f} "
+        f"pcc_a={r.pcc_a:.6f} undefined={r.n_undefined}/{r.n_genes}"
+        for r in fold_reports
+    ]
+    lines.append("summary: " + " ".join(f"{k}={m:.6f}±{s:.6f}" for k, (m, s) in summary.items()))
     return "\n".join(lines) + "\n"

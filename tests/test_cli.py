@@ -543,7 +543,7 @@ class TestGeneLists:
         made_for = study_dir / "genes.txt"  # beside run_on_study's checkpoint and the predictions below
         data_io.write_gene_list(made_for, genes)
         data_io.write_gene_list(study_genes, genes[::-1])
-        calls = spy_infer(monkeypatch)
+        calls = spy(monkeypatch, trainer, "infer")
         if command == "eval --predictions":
             predictions = study_dir / "predictions.gdml"
             data_io.write_container(predictions, {
@@ -593,21 +593,21 @@ def raw_entry(name, tag, rank, dims):
             + struct.pack(f"<BB{rank}I", tag, rank, *dims))
 
 
-def spy_infer(monkeypatch):
-    """Record every ``trainer.infer`` call."""
+def spy(monkeypatch, module, name):
+    """Record every call of ``module.name``."""
     calls = []
-    infer = trainer.infer
+    fn = getattr(module, name)
 
-    def spy(*args):
+    def record(*args):
         calls.append(args)
-        return infer(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(trainer, "infer", spy)
+    monkeypatch.setattr(module, name, record)
     return calls
 
 
-def run_on_study(command, study_dir):
-    """Exit code of ``command`` on the study under ``study_dir``."""
+def run_on_study(command, study_dir, out="p"):
+    """Exit code of ``command`` on the study under ``study_dir``, writing to ``out``."""
     manifest = study_dir / "study" / "manifest.ini"
     if command == "train":
         config = study_dir / "run.ini"
@@ -618,7 +618,7 @@ def run_on_study(command, study_dir):
     model.save_checkpoint(checkpoint, model.init_params(cfg, 0), cfg)
     return main([
         command, "--checkpoint", str(checkpoint),
-        "--manifest", str(manifest), "--out", str(study_dir / "p"),
+        "--manifest", str(manifest), "--out", str(study_dir / out),
     ])
 
 
@@ -820,7 +820,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("length,entry", [(70_000, "pred"), (65_530, "coords")])
     def test_sample_id_too_long_exits_3_before_inference(self, study_dir, capsys, monkeypatch,
                                                          length, entry):
-        calls = spy_infer(monkeypatch)
+        calls = spy(monkeypatch, trainer, "infer")
         manifest = study_dir / "study" / "manifest.ini"
         sid = "S" * length  # sorts after S00, which would be inferred first
         manifest.write_text(manifest.read_text().replace("[sample:S01]", f"[sample:{sid}]"))
@@ -844,16 +844,30 @@ class TestMalformedInputs:
         assert not (study_dir / "p").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
-    def test_out_naming_a_file_exits_5_before_inference(self, study_dir, capsys, monkeypatch, command):
-        calls = spy_infer(monkeypatch)
-        out = study_dir / "p"
-        out.write_text("not a directory\n")
-        code = run_on_study(command, study_dir)
+    @pytest.mark.parametrize("out,code", [("p", errno.EEXIST), ("p/out", errno.ENOTDIR)],
+                             ids=["file", "under_file"])
+    def test_out_naming_a_file_exits_5_before_inference(self, study_dir, capsys, monkeypatch,
+                                                        command, out, code):
+        calls = spy(monkeypatch, trainer, "infer")
+        loads = spy(monkeypatch, data_io, "load_study")
+        (study_dir / "p").write_text("not a directory\n")
+        assert run_on_study(command, study_dir, out) == 5
         err = capsys.readouterr().err
-        assert code == 5
-        assert err == f"error: io: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'\n", err
-        assert calls == []
-        assert out.read_text() == "not a directory\n"
+        assert err == f"error: io: [Errno {code}] {os.strerror(code)}: '{study_dir / out}'\n", err
+        assert calls == [] and loads == []
+        assert (study_dir / "p").read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--predictions"])
+    def test_eval_opens_its_model_before_the_study(self, study_dir, capsys, monkeypatch, flag):
+        loads = spy(monkeypatch, data_io, "load_study")
+        missing = study_dir / "missing.gdml"
+        code = main(["eval", flag, str(missing), "--manifest", str(study_dir / "study" / "manifest.ini"),
+                     "--out", str(study_dir / "e")])
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert f"cannot read container {missing}" in err, err
+        assert loads == []
+        assert not (study_dir / "e").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     def test_coordinate_outside_int32_exits_3(self, study_dir, capsys, command):

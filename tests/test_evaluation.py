@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spotalign import evaluation, render
+from spotalign import cli, evaluation, render
 from spotalign.errors import ContractError, ShapeError
 
 
@@ -248,21 +248,22 @@ class TestFoldReportAndAggregate:
     def test_identical_folds_zero_std(self):
         r = report_with_ranks(0, [1, 2, 3])
         summary = evaluation.aggregate([r, report_with_ranks(1, [1, 2, 3])], hpg=[0, 1])
-        assert summary.pcc_a_std == 0.0
-        assert summary.mse_std == 0.0
+        assert summary["pcc_a"][1] == 0.0
+        assert summary["mse"][1] == 0.0
 
     def test_mean_across_folds(self):
         r1 = report_with_ranks(0, [1, 2], pccs=[0.3, 0.3])
         r2 = report_with_ranks(1, [1, 2], pccs=[0.5, 0.5])
         summary = evaluation.aggregate([r1, r2], hpg=[0])
-        assert summary.pcc_a == pytest.approx(0.4)
+        assert list(summary) == ["mse", "mae", "pcc_a", "pcc_h"]
+        assert summary["pcc_a"][0] == pytest.approx(0.4)
 
     def test_undefined_excluded_and_counted(self):
         r = report_with_ranks(0, [1, 3, 2], pccs=[0.8, np.nan, 0.4])
         summary = evaluation.aggregate([r], hpg=[0, 1])
-        assert summary.undefined_per_fold == [1]
-        assert summary.pcc_a == pytest.approx(0.6)  # mean of defined only
-        assert summary.pcc_h == pytest.approx(0.8)  # NaN gene excluded from HPG mean
+        assert r.n_undefined == 1
+        assert summary["pcc_a"][0] == pytest.approx(0.6)  # mean of defined only
+        assert summary["pcc_h"][0] == pytest.approx(0.8)  # NaN gene excluded from HPG mean
 
     def test_csv_roundtrip(self, tmp_path):
         r1 = report_with_ranks(0, [1, 2], pccs=[0.3, 0.2])
@@ -270,13 +271,53 @@ class TestFoldReportAndAggregate:
         hpg = evaluation.select_hpg([r1, r2], top=2)
         summary = evaluation.aggregate([r1, r2], hpg)
         path = tmp_path / "report.csv"
-        evaluation.write_report_csv(path, [r1, r2], summary)
+        evaluation.write_report_csv(path, [r1, r2], summary, hpg)
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["fold", "metric", "value"]
         values = {(r[0], r[1]): r[2] for r in rows[1:]}
-        assert float(values[("summary", "pcc_a")]) == pytest.approx(summary.pcc_a)
+        assert float(values[("summary", "pcc_a")]) == pytest.approx(summary["pcc_a"][0])
         assert float(values[("0", "mse")]) == pytest.approx(0.1)
+
+    def test_report_bytes(self, tmp_path, capsys):
+        # 52 genes, so the 50 HPG genes leave out the last two; gene 1 is
+        # undefined in fold 0 and ranks 27th on average
+        tail = [0.25] * 48 + [-0.5, -0.5]
+        reports = [
+            evaluation.FoldReport(0, np.array([0.5, np.nan, *tail]), mse=0.5, mae=0.25),
+            evaluation.FoldReport(1, np.array([0.75, 0.5, *tail]), mse=1.0, mae=0.75),
+        ]
+        cli._write_reports(tmp_path, reports)
+        hpg = " ".join(map(str, [0, *range(2, 27), 1, *range(27, 50)]))
+        assert (tmp_path / "report.csv").read_bytes().decode().split("\r\n") == [
+            "fold,metric,value",
+            "0,mse,0.5",
+            "0,mae,0.25",
+            "0,pcc_a,0.22549019607843138",  # 11.5 / 51
+            "0,undefined_genes,1",
+            "1,mse,1.0",
+            "1,mae,0.75",
+            "1,pcc_a,0.23557692307692307",  # 12.25 / 52
+            "1,undefined_genes,0",
+            "summary,mse,0.75",
+            "summary,mse_std,0.25",
+            "summary,mae,0.5",
+            "summary,mae_std,0.25",
+            "summary,pcc_a,0.23053355957767724",
+            "summary,pcc_a_std,0.005043363499245848",
+            "summary,pcc_h,0.2600510204081633",  # mean of 12.5 / 49 and 13.25 / 50
+            "summary,pcc_h_std,0.0049489795918367385",
+            f"summary,hpg,{hpg}",
+            "",
+        ]
+        text = (
+            "fold 0: mse=0.500000 mae=0.250000 pcc_a=0.225490 undefined=1/52\n"
+            "fold 1: mse=1.000000 mae=0.750000 pcc_a=0.235577 undefined=0/52\n"
+            "summary: mse=0.750000±0.250000 mae=0.500000±0.250000 "
+            "pcc_a=0.230534±0.005043 pcc_h=0.260051±0.004949\n"
+        )
+        assert (tmp_path / "summary.txt").read_text() == text
+        assert capsys.readouterr().out == text
 
 
 class TestHexRender:
