@@ -219,8 +219,8 @@ def preprocess_expression(raw_counts: np.ndarray, column_names: list[str],
 
     Each spot's counts are scaled by ``COUNT_SCALE / total`` where the total
     runs over ALL columns (before selection), then mapped through log(1 + x).
-    Spots whose total count is zero are dropped and counted; counts so large
-    that a total or a scaled count overflows raise.
+    Zero-total spots are dropped and counted; negative or non-finite counts
+    raise, as do counts so large that a total or a scaled count overflows.
     """
     index = {name: i for i, name in enumerate(column_names)}
     missing = [g for g in gene_list if g not in index]
@@ -231,6 +231,8 @@ def preprocess_expression(raw_counts: np.ndarray, column_names: list[str],
         raise ShapeError(
             f"count matrix has shape {raw.shape}, expected N x {len(column_names)}"
         )
+    if not np.all(np.isfinite(raw)) or np.any(raw < 0):
+        raise DataError("counts must be finite and >= 0")
     cols = [index[g] for g in gene_list]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         totals = raw.sum(axis=1)
@@ -238,7 +240,7 @@ def preprocess_expression(raw_counts: np.ndarray, column_names: list[str],
         selected = raw[keep][:, cols]
         expr = np.log1p(COUNT_SCALE * selected / totals[keep, None])
     if not (np.all(totals < np.inf) and np.all(expr < np.inf)):
-        raise DataError(f"counts must be finite, >= 0 and small enough to normalize, largest {raw.max()!r}")
+        raise DataError(f"counts must be small enough to normalize, largest {float(raw.max())}")
     return PreprocessResult(expr, keep, int((~keep).sum()))
 
 
@@ -398,8 +400,6 @@ def load_study(manifest_path) -> list[SpotBatch]:
             raise DataError(
                 f"{expr_path}: {counts.shape[1]} gene columns, expected {len(column_names)}"
             )
-        if not np.all(np.isfinite(counts)) or np.any(counts < 0):
-            raise DataError(f"{expr_path}: counts must be finite and >= 0")
         if first is None:  # every sample must have the first one's per-spot shapes
             for path, size, what in ((local_path, local.shape[1], "feature width"),
                                      (neighbor_path, neighbor.shape[1], "neighbor-token count")):

@@ -4,10 +4,10 @@ Image pathway: per-scale linear projections of pre-extracted tile features,
 self-attention over the 25 neighbor tokens of each spot, one transformer
 block across all spots of a slide for global context, and a scale-wise
 fusion block over the {local, neighbor, global} token triple of each spot.
-Gene pathway: a two-layer encoder followed by a residual feed-forward
-refinement.  Dropout (rate configurable, 0.1 by default) is applied after
-attention output projections, inside feed-forward sublayers, and in the
-gene encoder, whenever a pass gets an rng (eval mode passes none).
+Gene pathway: two feed-forward sublayers, the second residual.  Dropout
+(rate configurable, 0.1 by default) is applied after attention output
+projections and inside every feed-forward sublayer, whenever a pass gets an
+rng (eval mode passes none).
 
 All blocks are pre-norm residual transformers.  The global block uses no
 positional encoding, so it is permutation-equivariant over spots.  It sees a
@@ -77,25 +77,18 @@ class ScaleEmbeddings:
 # parameters
 
 
+def _ffn_shapes(prefix: str, d_in: int, d_hidden: int, d_out: int) -> dict[str, tuple[int, ...]]:
+    return {f"{prefix}/w1": (d_in, d_hidden), f"{prefix}/b1": (d_hidden,),
+            f"{prefix}/w2": (d_hidden, d_out), f"{prefix}/b2": (d_out,)}
+
+
 def _block_shapes(prefix: str, d: int, d_ff: int) -> dict[str, tuple[int, ...]]:
-    return {
-        f"{prefix}/ln1/g": (d,),
-        f"{prefix}/ln1/b": (d,),
-        f"{prefix}/attn/wq": (d, d),
-        f"{prefix}/attn/bq": (d,),
-        f"{prefix}/attn/wk": (d, d),
-        f"{prefix}/attn/bk": (d,),
-        f"{prefix}/attn/wv": (d, d),
-        f"{prefix}/attn/bv": (d,),
-        f"{prefix}/attn/wo": (d, d),
-        f"{prefix}/attn/bo": (d,),
-        f"{prefix}/ln2/g": (d,),
-        f"{prefix}/ln2/b": (d,),
-        f"{prefix}/ffn/w1": (d, d_ff),
-        f"{prefix}/ffn/b1": (d_ff,),
-        f"{prefix}/ffn/w2": (d_ff, d),
-        f"{prefix}/ffn/b2": (d,),
-    }
+    shapes = {f"{prefix}/ln1/g": (d,), f"{prefix}/ln1/b": (d,)}
+    for proj in "qkvo":
+        shapes[f"{prefix}/attn/w{proj}"] = (d, d)
+        shapes[f"{prefix}/attn/b{proj}"] = (d,)
+    shapes.update({f"{prefix}/ln2/g": (d,), f"{prefix}/ln2/b": (d,)})
+    return shapes | _ffn_shapes(f"{prefix}/ffn", d, d_ff, d)
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -108,14 +101,8 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes.update(_block_shapes(f"neighbor/block{i}", cfg.d, cfg.d_ff))
     shapes.update(_block_shapes("global/block0", cfg.d, cfg.d_ff))
     shapes.update(_block_shapes("fusion/block0", cfg.d, cfg.d_ff))
-    shapes["gene/enc/w1"] = (cfg.n_genes, cfg.d)
-    shapes["gene/enc/b1"] = (cfg.d,)
-    shapes["gene/enc/w2"] = (cfg.d, cfg.d)
-    shapes["gene/enc/b2"] = (cfg.d,)
-    shapes["gene/ffn/w1"] = (cfg.d, cfg.d_ff)
-    shapes["gene/ffn/b1"] = (cfg.d_ff,)
-    shapes["gene/ffn/w2"] = (cfg.d_ff, cfg.d)
-    shapes["gene/ffn/b2"] = (cfg.d,)
+    shapes.update(_ffn_shapes("gene/enc", cfg.n_genes, cfg.d, cfg.d))
+    shapes.update(_ffn_shapes("gene/ffn", cfg.d, cfg.d_ff, cfg.d))
     shapes["group_image/w"] = (cfg.d, cfg.d)
     shapes["group_image/b"] = (cfg.d,)
     shapes["group_gene/w"] = (cfg.d, cfg.d)
@@ -171,12 +158,14 @@ def attention_block(
     context = ad.attention(q, k, v, heads)
     attn_out = ad.linear(context, p[f"{prefix}/attn/wo"], p[f"{prefix}/attn/bo"])
     x = x + ad.dropout(attn_out, drop, rng)
+    h = ad.layer_norm(x, p[f"{prefix}/ln2/g"], p[f"{prefix}/ln2/b"])
+    return x + _ffn(h, p, f"{prefix}/ffn", drop, rng)
 
-    h2 = ad.layer_norm(x, p[f"{prefix}/ln2/g"], p[f"{prefix}/ln2/b"])
-    f = ad.gelu(ad.linear(h2, p[f"{prefix}/ffn/w1"], p[f"{prefix}/ffn/b1"]))
-    f = ad.dropout(f, drop, rng)
-    f = ad.linear(f, p[f"{prefix}/ffn/w2"], p[f"{prefix}/ffn/b2"])
-    return x + f
+
+def _ffn(x: DiffTensor, p: dict[str, DiffTensor], prefix: str, drop: float, rng) -> DiffTensor:
+    """Feed-forward sublayer: linear, GELU, dropout, linear."""
+    h = ad.dropout(ad.gelu(ad.linear(x, p[f"{prefix}/w1"], p[f"{prefix}/b1"])), drop, rng)
+    return ad.linear(h, p[f"{prefix}/w2"], p[f"{prefix}/b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +237,7 @@ def scale_fusion(
     """Attend over the 3-token scale sequence of each spot.
 
     Returns the three refined per-scale embeddings and the fused embedding,
-    their token mean.
+    their token mean, pooled as the neighbor encoder pools its tokens.
     """
     if not (i_local.shape == i_neighbor.shape == i_global.shape):
         raise ShapeError(
@@ -257,10 +246,7 @@ def scale_fusion(
     n, d = i_local.shape
     x = ad.reshape(ad.concat([i_local, i_neighbor, i_global], axis=-1), (n, 3, d))
     x = attention_block(x, p, "fusion/block0", cfg.heads, cfg.dropout, rng)
-
-    tokens = [ad.take(x, s, axis=1) for s in range(3)]
-    fused = (tokens[0] + tokens[1] + tokens[2]) * (1.0 / 3.0)
-    return (tokens[0], tokens[1], tokens[2]), fused
+    return tuple(ad.take(x, s, axis=1) for s in range(3)), ad.tmean(x, axis=1)
 
 
 def gene_encode(
@@ -269,18 +255,12 @@ def gene_encode(
     cfg: ModelConfig,
     rng=None,
 ) -> DiffTensor:
-    """Two-layer gene encoder followed by a residual feed-forward refinement."""
+    """A feed-forward sublayer from genes to d, then a residual one."""
     expr = ad.as_tensor(expression)
     if expr.shape[-1] != cfg.n_genes:
         raise ShapeError(f"expression has {expr.shape[-1]} genes, model expects {cfg.n_genes}")
-    h = ad.linear(expr, p["gene/enc/w1"], p["gene/enc/b1"])
-    h = ad.dropout(ad.gelu(h), cfg.dropout, rng)
-    h = ad.linear(h, p["gene/enc/w2"], p["gene/enc/b2"])
-
-    f = ad.gelu(ad.linear(h, p["gene/ffn/w1"], p["gene/ffn/b1"]))
-    f = ad.dropout(f, cfg.dropout, rng)
-    f = ad.linear(f, p["gene/ffn/w2"], p["gene/ffn/b2"])
-    return h + f
+    h = _ffn(expr, p, "gene/enc", cfg.dropout, rng)
+    return h + _ffn(h, p, "gene/ffn", cfg.dropout, rng)
 
 
 def predict_expression(p: dict[str, DiffTensor], fused: DiffTensor) -> DiffTensor:

@@ -163,6 +163,22 @@ class TestPreprocess:
             with pytest.raises(DataError, match="small enough to normalize"):
                 data_io.preprocess_expression(np.array(raw), names, ["a"])
 
+    def test_overflow_message_names_largest_count(self):
+        with pytest.raises(DataError) as info:
+            data_io.preprocess_expression(np.array([[1e305, 1.0]]), ["a", "b"], ["a"])
+        assert str(info.value) == "counts must be small enough to normalize, largest 1e+305"
+
+    @pytest.mark.parametrize("raw", [
+        [[-5.0, 5.0], [1.0, 2.0]],  # the total is zero: not a zero-total spot to drop
+        [[-1e-9, 1.0], [1.0, 2.0]],  # would log-transform to a negative expression
+        [[np.nan, 1.0], [1.0, 2.0]],
+        [[np.inf, 1.0], [1.0, 2.0]],
+    ])
+    def test_negative_or_non_finite_counts_raise(self, raw):
+        with pytest.raises(DataError) as info:
+            data_io.preprocess_expression(np.array(raw), ["a", "b"], ["a", "b"])
+        assert str(info.value) == "counts must be finite and >= 0"
+
     def test_missing_gene_listed(self):
         with pytest.raises(DataError, match="nope"):
             data_io.preprocess_expression(np.ones((2, 2)), ["a", "b"], ["a", "nope"])

@@ -2,9 +2,12 @@
 
 The oracle below re-implements the pre-norm attention block with explicit
 per-head slicing loops, so it shares no code path with the model's fused
-``ad.attention`` node.
+``ad.attention`` node.  The ``inline_*`` oracles spell the feed-forward
+sublayers and the scale-fusion pooling out op by op, as the model once did,
+and must give the model's bits.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -63,6 +66,58 @@ def scripted_block(x, params, prefix, heads):
     h2 = np_layer_norm(x, params[f"{prefix}/ln2/g"], params[f"{prefix}/ln2/b"])
     f = np_gelu(h2 @ params[f"{prefix}/ffn/w1"] + params[f"{prefix}/ffn/b1"])
     return x + (f @ params[f"{prefix}/ffn/w2"] + params[f"{prefix}/ffn/b2"])
+
+
+def inline_attention_block(x, p, prefix, heads, drop, rng):
+    h = ad.layer_norm(x, p[f"{prefix}/ln1/g"], p[f"{prefix}/ln1/b"])
+    q = ad.linear(h, p[f"{prefix}/attn/wq"], p[f"{prefix}/attn/bq"])
+    k = ad.linear(h, p[f"{prefix}/attn/wk"], p[f"{prefix}/attn/bk"])
+    v = ad.linear(h, p[f"{prefix}/attn/wv"], p[f"{prefix}/attn/bv"])
+    context = ad.attention(q, k, v, heads)
+    attn_out = ad.linear(context, p[f"{prefix}/attn/wo"], p[f"{prefix}/attn/bo"])
+    x = x + ad.dropout(attn_out, drop, rng)
+
+    h2 = ad.layer_norm(x, p[f"{prefix}/ln2/g"], p[f"{prefix}/ln2/b"])
+    f = ad.gelu(ad.linear(h2, p[f"{prefix}/ffn/w1"], p[f"{prefix}/ffn/b1"]))
+    f = ad.dropout(f, drop, rng)
+    f = ad.linear(f, p[f"{prefix}/ffn/w2"], p[f"{prefix}/ffn/b2"])
+    return x + f
+
+
+def inline_gene_encode(p, expression, cfg, rng):
+    h = ad.linear(ad.as_tensor(expression), p["gene/enc/w1"], p["gene/enc/b1"])
+    h = ad.dropout(ad.gelu(h), cfg.dropout, rng)
+    h = ad.linear(h, p["gene/enc/w2"], p["gene/enc/b2"])
+
+    f = ad.gelu(ad.linear(h, p["gene/ffn/w1"], p["gene/ffn/b1"]))
+    f = ad.dropout(f, cfg.dropout, rng)
+    f = ad.linear(f, p["gene/ffn/w2"], p["gene/ffn/b2"])
+    return h + f
+
+
+def inline_scale_fusion(p, i_local, i_neighbor, i_global, cfg, rng):
+    n, d = i_local.shape
+    x = ad.reshape(ad.concat([i_local, i_neighbor, i_global], axis=-1), (n, 3, d))
+    x = inline_attention_block(x, p, "fusion/block0", cfg.heads, cfg.dropout, rng)
+    tokens = [ad.take(x, s, axis=1) for s in range(3)]
+    return tuple(tokens), (tokens[0] + tokens[1] + tokens[2]) * (1.0 / 3.0)
+
+
+def taped_bits(fn, params, inputs, seed):
+    """Bytes of ``fn``'s outputs and of the gradients of a weighted sum of
+    them with respect to ``params`` and ``inputs``, with dropout drawn from
+    a generator seeded with ``seed``."""
+    tape = ad.Tape()
+    pt = model.as_tensors(params, tape)
+    leaves = [tape.leaf(x) for x in inputs]
+    outputs = fn(pt, *leaves, np.random.default_rng(seed))
+    weights = np.random.default_rng(seed + 1)
+    loss = ad.constant(0.0)
+    for out in outputs:
+        loss = loss + ad.tsum(out * ad.constant(weights.normal(size=out.shape)))
+    grads = tape.backward(loss)
+    return ([out.data.tobytes() for out in outputs],
+            [grads[t.node_id].tobytes() for t in (*pt.values(), *leaves)])
 
 
 def make_batch(cfg, n, seed=0):
@@ -137,6 +192,39 @@ class TestModelConfig:
         assert cfg.d_ff == 4 * cfg.d
 
 
+class TestParamTable:
+    CFG = dict(n_genes=7, d_in=5, d=8, heads=2, neighbor_blocks=2, d_ff=12)
+    BLOCK = [("ln1/g", (8,)), ("ln1/b", (8,)),
+             ("attn/wq", (8, 8)), ("attn/bq", (8,)), ("attn/wk", (8, 8)), ("attn/bk", (8,)),
+             ("attn/wv", (8, 8)), ("attn/bv", (8,)), ("attn/wo", (8, 8)), ("attn/bo", (8,)),
+             ("ln2/g", (8,)), ("ln2/b", (8,)),
+             ("ffn/w1", (8, 12)), ("ffn/b1", (12,)), ("ffn/w2", (12, 8)), ("ffn/b2", (8,))]
+    # the table's order is the init draw order and the checkpoint entry order
+    INIT_SHA256 = "46c2892b1a4cebd438db7f98c7487ab4c58100469b8ad2b5ac46302f550a3371"
+
+    def test_names_shapes_and_order(self):
+        expected = []
+        for scale in ("local", "neighbor", "global"):
+            expected += [(f"proj_{scale}/w", (5, 8)), (f"proj_{scale}/b", (8,))]
+        for block in ("neighbor/block0", "neighbor/block1", "global/block0", "fusion/block0"):
+            expected += [(f"{block}/{name}", shape) for name, shape in self.BLOCK]
+        expected += [("gene/enc/w1", (7, 8)), ("gene/enc/b1", (8,)),
+                     ("gene/enc/w2", (8, 8)), ("gene/enc/b2", (8,)),
+                     ("gene/ffn/w1", (8, 12)), ("gene/ffn/b1", (12,)),
+                     ("gene/ffn/w2", (12, 8)), ("gene/ffn/b2", (8,)),
+                     ("group_image/w", (8, 8)), ("group_image/b", (8,)),
+                     ("group_gene/w", (8, 8)), ("group_gene/b", (8,)),
+                     ("pred/w", (8, 7)), ("pred/b", (7,))]
+        assert list(model.param_shapes(model.ModelConfig(**self.CFG)).items()) == expected
+
+    def test_init_bits(self):
+        cfg = model.ModelConfig(**self.CFG)
+        params = model.init_params(cfg, 0)
+        assert list(params) == list(model.param_shapes(cfg))
+        digest = hashlib.sha256(b"".join(arr.tobytes() for arr in params.values()))
+        assert digest.hexdigest() == self.INIT_SHA256
+
+
 class TestAttentionBlock:
     def test_one_tape_node_between_projections(self, monkeypatch):
         cfg = tiny_config()
@@ -156,6 +244,19 @@ class TestAttentionBlock:
         q, k, v, out = linear_ids[:4]  # the q, k, v and output projections
         assert (k, v, out) == (q + 1, q + 2, q + 4)
         assert tape._parents[q + 3] == (q, k, v)
+
+
+    def test_same_bits_as_inline_composite(self):
+        cfg = tiny_config(d=8, d_ff=12, dropout=0.3)
+        params = model.init_params(cfg, 47)
+        x = np.random.default_rng(47).normal(size=(3, 4, cfg.d))
+
+        def run(block):
+            def fn(p, x, rng):
+                return [block(x, p, "neighbor/block0", cfg.heads, cfg.dropout, rng)]
+            return taped_bits(fn, params, [x], seed=47)
+
+        assert run(model.attention_block) == run(inline_attention_block)
 
 
 class TestNeighborEncode:
@@ -261,6 +362,21 @@ class TestScaleFusion:
         np.testing.assert_allclose(fused.data[0], expected.mean(axis=0), atol=1e-12)
 
 
+    def test_fused_token_mean_same_bits_as_inline_sum(self):
+        cfg = tiny_config(d=8, d_ff=12, dropout=0.3)
+        params = model.init_params(cfg, 49)
+        rng = np.random.default_rng(49)
+        inputs = [rng.normal(size=(5, cfg.d)) for _ in range(3)]
+
+        def run(fuse):
+            def fn(p, i_local, i_neighbor, i_global, rng):
+                tokens, fused = fuse(p, i_local, i_neighbor, i_global, cfg, rng)
+                return [*tokens, fused]
+            return taped_bits(fn, params, inputs, seed=49)
+
+        assert run(model.scale_fusion) == run(inline_scale_fusion)
+
+
 class TestGeneEncode:
     def test_zero_input_zero_biases_gives_zero(self):
         cfg = tiny_config()
@@ -292,6 +408,16 @@ class TestGeneEncode:
         f = np_gelu(h @ params["gene/ffn/w1"] + params["gene/ffn/b1"])
         expected = h + (f @ params["gene/ffn/w2"] + params["gene/ffn/b2"])
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_same_bits_as_inline_composite(self):
+        cfg = tiny_config(d=8, d_ff=12, dropout=0.3)
+        params = model.init_params(cfg, 51)
+        x = np.random.default_rng(51).normal(size=(4, cfg.n_genes)) ** 2
+
+        def run(encode):
+            return taped_bits(lambda p, x, rng: [encode(p, x, cfg, rng)], params, [x], seed=51)
+
+        assert run(model.gene_encode) == run(inline_gene_encode)
 
     def test_gene_count_mismatch(self):
         cfg = tiny_config()
