@@ -1,10 +1,11 @@
-"""Feature-grouping branch: per-modality projection, K-means on
-unit-normalized vectors (one Lloyd run per start: ``n_init`` seeded k-means++
-draws, or the given centroids), and cross-modal nearest-centroid assignment.
+"""Feature-grouping branch: K-means on unit-normalized vectors (one Lloyd run
+per start: ``n_init`` seeded k-means++ draws, or the given centroids), and
+``assign_cross``, which puts a row in the group whose centroid is nearest its
+unit-normalized form by ``_nearest``, the rule of Lloyd's final assignment, so
+a row that took part in a fit falls in the group the fit gave it.
 
 Centroids are means of normalized member rows and are deliberately not
-re-normalized, so dot-product similarity against them also encodes cluster
-coherence.  All tie-breaks are by lowest index, and every function is a
+re-normalized.  All tie-breaks are by lowest index, and every function is a
 deterministic function of its inputs and seed.
 
 Lloyd screens distances with one matrix product, |x|^2 - 2 x.c + |c|^2.  Its
@@ -40,13 +41,11 @@ class GroupState:
 
 
 def group_project(p: dict[str, DiffTensor], e_ins, modality: str) -> DiffTensor:
-    """Affine map of instance embeddings into the grouping space.
+    """Affine map of instance embeddings by the ``group_<modality>`` weights.
 
-    Its weights are drawn at init and never receive a gradient, because
-    ``trainer._centroids`` applies it only to constants.  The k-means
-    centroids therefore live in a fixed random projection of the embeddings;
-    the cross-level loss scores the unprojected embeddings against them with
-    hard (one-hot) targets only."""
+    Training does not call it: k-means clusters the embeddings themselves.
+    The weights stay in the parameter table, drawn at init and never
+    trained."""
     if modality not in ("image", "gene"):
         raise ContractError(f"modality must be 'image' or 'gene', got {modality!r}")
     x = ad.as_tensor(e_ins)
@@ -170,12 +169,9 @@ def kmeans(
 
 
 def assign_cross(e_ins: np.ndarray, other_centroids: np.ndarray) -> np.ndarray:
-    """Nearest opposite-modality centroid per instance by dot-product similarity."""
-    e = np.asarray(e_ins, dtype=np.float64)
+    """The group each l2-normalized row of ``e_ins`` falls in, by ``_nearest``."""
+    e = l2_normalize_rows(np.asarray(e_ins, dtype=np.float64))
     c = np.asarray(other_centroids, dtype=np.float64)
     if e.shape[-1] != c.shape[-1]:
-        raise ContractError(
-            f"instance dim {e.shape[-1]} does not match centroid dim {c.shape[-1]}"
-        )
-    sims = e @ c.T
-    return sims.argmax(axis=1).astype(np.int64)
+        raise ContractError(f"instance dim {e.shape[-1]} does not match centroid dim {c.shape[-1]}")
+    return _nearest(e, (e * e).sum(axis=-1), c)[0].astype(np.int64)

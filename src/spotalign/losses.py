@@ -69,7 +69,10 @@ def multi_scale_instance_loss(
     return total, tuple(loss.item() for loss in scale_losses)
 
 
-def _one_hot(indices: np.ndarray, k: int) -> np.ndarray:
+def _one_hot(indices, k: int, name: str) -> np.ndarray:
+    indices = np.asarray(indices)
+    if indices.size and (indices.min() < 0 or indices.max() >= k):
+        raise ContractError(f"{name} assignment index out of range [0, {k})")
     out = np.zeros((indices.shape[0], k))
     out[np.arange(indices.shape[0]), indices] = 1.0
     return out
@@ -87,23 +90,17 @@ def cross_level_loss(
     """Instance-group discrimination against opposite-modality centroids.
 
     Image instances score against gene centroids and vice versa, at
-    temperature ``tau_ig``.  Targets are one-hot at each instance's
-    nearest-centroid assignment.  Centroids are constants.
+    temperature ``tau_ig``.  Targets are one-hot at the given group indices;
+    training gives each instance the group its counterpart (the same spot's
+    other modality) falls in.  Centroids are constants.
     """
     k = gene_centroids.shape[0]
     if image_centroids.shape[0] != k:
-        raise ShapeError(
-            f"centroid counts differ: {k} gene vs {image_centroids.shape[0]} image"
-        )
-    for name, assign in (("image", image_assign), ("gene", gene_assign)):
-        assign = np.asarray(assign)
-        if assign.size and (assign.min() < 0 or assign.max() >= k):
-            raise ContractError(f"{name} assignment index out of range [0, {k})")
+        raise ShapeError(f"centroid counts differ: {k} gene vs {image_centroids.shape[0]} image")
+    t_img, t_gene = _one_hot(image_assign, k, "image"), _one_hot(gene_assign, k, "gene")
     n = i_ins.shape[0]
     logits_img = ad.matmul(i_ins, ad.constant(gene_centroids.T)) * (1.0 / tau_ig)
     logits_gene = ad.matmul(g_ins, ad.constant(image_centroids.T)) * (1.0 / tau_ig)
-    t_img = _one_hot(np.asarray(image_assign), k)
-    t_gene = _one_hot(np.asarray(gene_assign), k)
     return (ad.cross_entropy(logits_img, t_img) + ad.cross_entropy(logits_gene, t_gene)) * (1.0 / n)
 
 

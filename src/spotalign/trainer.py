@@ -256,7 +256,7 @@ def _schedule(train_batches, cfg: TrainConfig, fold_id: int, epoch: int):
 
 
 def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
-                fold_id: int, epoch: int, lr: float, emit) -> losses.LossBreakdown:
+                fold_id: int, epoch: int, lr: float, on_line) -> losses.LossBreakdown:
     """One step on ``sub`` that advances ``state`` in place: forward both
     modalities on the step's own tape, refresh the centroids from the batch in
     batch mode (from the previous step's centroids once there are any; a sub-k
@@ -275,19 +275,21 @@ def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
 
     cross = ad.constant(0.0)
     if cfg.lam > 0:
+        _check_groupable([emb], f"step {step} epoch {epoch}")
         if sub.n_spots >= cfg.k and cfg.cluster_refresh == "batch":
             seeds = [_derived_seed(cfg.seed, fold_id, epoch, step, s) for s in (17, 19)]
-            state.centroids = _centroids(model.as_tensors(params), [emb], cfg, seeds, state.centroids)
+            state.centroids = _centroids([emb], cfg, seeds, state.centroids)
         elif state.centroids is None:
-            emit(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
+            on_line(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
         elif cfg.cluster_refresh == "batch":
-            emit(f"step={step} epoch={epoch} event=centroids_reused n={sub.n_spots}")
+            on_line(f"step={step} epoch={epoch} event=centroids_reused n={sub.n_spots}")
         if state.centroids is not None:
             c_img, c_gene = state.centroids
-            img_assign = grouping.assign_cross(emb.fused.data, c_gene)
-            gene_assign = grouping.assign_cross(emb.gene.data, c_img)
+            # each row's target is the group its counterpart, the same spot's other modality, falls in
+            img_targets = grouping.assign_cross(emb.gene.data, c_gene)
+            gene_targets = grouping.assign_cross(emb.fused.data, c_img)
             cross = losses.cross_level_loss(emb.fused, emb.gene, c_gene, c_img,
-                                            img_assign, gene_assign, cfg.tau_ig)
+                                            img_targets, gene_targets, cfg.tau_ig)
 
     total, breakdown = losses.total_loss(multi, cross, pred_loss, cfg.lam, per_scale_vals)
     node_grads = tape.backward(total)
@@ -303,21 +305,26 @@ def _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch):
         return None
     const_pt = model.as_tensors(params)
     embeddings = [model.forward_embeddings(const_pt, b, model_cfg) for b in train_batches]
+    _check_groupable(embeddings, f"epoch {epoch} centroid refresh")
     seeds = [_derived_seed(cfg.seed, fold_id, epoch, s) for s in (23, 29)]
-    return _centroids(const_pt, embeddings, cfg, seeds)
+    return _centroids(embeddings, cfg, seeds)
 
 
-def _centroids(const_pt, embeddings, cfg: TrainConfig, seeds, init=None) -> tuple[np.ndarray, np.ndarray]:
-    """Image and gene k-means centroids of the grouping features of
+def _check_groupable(embeddings, where: str) -> None:
+    """NumericError naming ``where`` unless every fused and gene row has a finite squared norm."""
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite((x * x).sum(axis=-1)).all() for e in embeddings for x in (e.fused.data, e.gene.data)):
+            raise NumericError(f"{where}: embeddings that reach grouping are not finite")
+
+
+def _centroids(embeddings, cfg: TrainConfig, seeds, init=None) -> tuple[np.ndarray, np.ndarray]:
+    """Image and gene k-means centroids of the fused and gene rows of
     ``embeddings`` (their spots concatenated), one seed per modality, or one
-    Lloyd run per modality from the (image, gene) centroids ``init``;
-    ``const_pt`` holds the parameters as constants."""
-    centroids = []
+    Lloyd run per modality from the (image, gene) centroids ``init``."""
     per_modality = zip(*[(e.fused.data, e.gene.data) for e in embeddings])
-    for modality, feats, seed, start in zip(("image", "gene"), per_modality, seeds, init or (None, None)):
-        e_clu = np.concatenate([grouping.group_project(const_pt, x, modality).data for x in feats])
-        centroids.append(grouping.kmeans(e_clu, cfg.k, seed, n_init=cfg.kmeans_n_init, init=start).centroids)
-    return centroids[0], centroids[1]
+    fits = (grouping.kmeans(np.concatenate(rows), cfg.k, seed, n_init=cfg.kmeans_n_init, init=start)
+            for rows, seed, start in zip(per_modality, seeds, init or (None, None)))
+    return tuple(fit.centroids for fit in fits)
 
 
 # ---------------------------------------------------------------------------

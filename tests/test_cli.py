@@ -381,6 +381,19 @@ class TestTrainPipeline:
         assert failed_at == 3 and lines[failed_at - 1].startswith("epoch=0 ")
         assert (run / "fold1_train.log").read_text() == "".join(lines[:failed_at])
 
+    @pytest.mark.parametrize("refresh", ["batch", "epoch"])
+    def test_diverging_run_exits_4(self, tmp_path, capsys, refresh):
+        spec = tmp_path / "synth.ini"
+        spec.write_text(SYNTH_SPEC.replace("n_spots = 40\n", "n_spots = 120\n"))
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "study")]) == 0
+        config = tmp_path / "run.ini"
+        config.write_text(RUN_CONFIG.replace("lr = 0.002\n", f"lr = 1e150\ncluster_refresh = {refresh}\n"))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: ") and err.count("\n") == 1, err
+
     def test_rerun_removes_every_earlier_fold(self, study_dir):
         # a folds = 3 run, say, left fold2_*: this two-fold run keeps none of them
         run = study_dir / "run"

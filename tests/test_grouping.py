@@ -6,6 +6,7 @@ small instances used here.
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -304,6 +305,17 @@ class TestKMeans:
             grouping.kmeans(np.array([[np.inf, 0.0], [0.0, 1.0]]), k=1, seed=0)
 
 
+def nearest_of_unit_rows(instances, centroids):
+    """Per row: the centroid at the least squared Euclidean distance from the
+    row scaled to unit length, by exhaustive scan, lowest index on a tie."""
+    out = []
+    for row in instances:
+        unit = row / math.sqrt(sum(v * v for v in row))
+        dists = [sum((u - c) ** 2 for u, c in zip(unit, centroid)) for centroid in centroids]
+        out.append(min(range(len(centroids)), key=lambda j: (dists[j], j)))
+    return out
+
+
 class TestAssignCross:
     def test_orthogonal_basis(self):
         centroids = np.eye(2)
@@ -320,13 +332,8 @@ class TestAssignCross:
         instances = rng.normal(size=(10, 4))
         centroids = rng.normal(size=(3, 4))
         out = grouping.assign_cross(instances, centroids)
-        sims = instances @ centroids.T
-        for i in range(10):
-            best, best_sim = 0, sims[i, 0]
-            for j in range(1, 3):
-                if sims[i, j] > best_sim:
-                    best, best_sim = j, sims[i, j]
-            assert out[i] == best
+        assert out.dtype == np.int64
+        assert out.tolist() == nearest_of_unit_rows(instances, centroids)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -338,10 +345,27 @@ class TestAssignCross:
         instances = rng.normal(size=(n, d))
         centroids = rng.normal(size=(k, d))
         out = grouping.assign_cross(instances, centroids)
-        sims = instances @ centroids.T
-        for i in range(n):
-            expected = max(range(k), key=lambda j: (sims[i, j], -j))
-            assert out[i] == expected
+        assert out.tolist() == nearest_of_unit_rows(instances, centroids)
+
+    def test_differs_from_the_dot_product_rule(self):
+        # the nearer centroid is not the one of largest dot product
+        centroids = np.array([[0.9, 0.1], [2.0, 1.5]])
+        x = np.array([[1.0, 0.0]])
+        assert (x @ centroids.T).argmax() == 1
+        assert grouping.assign_cross(x, centroids).tolist() == [0]
+
+    def test_rows_of_a_fit_fall_where_the_fit_put_them(self):
+        rng = np.random.default_rng(4)
+        for k in (1, 3, 7):
+            points = rng.normal(size=(40, 5))
+            state = grouping.kmeans(points, k=k, seed=k, n_init=3)
+            assert grouping.assign_cross(points, state.centroids).tolist() == state.assignments.tolist()
+            # scale does not move a row's group
+            assert grouping.assign_cross(points * 1e3, state.centroids).tolist() == state.assignments.tolist()
+
+    def test_zero_row_raises(self):
+        with pytest.raises(ContractError, match="zero row"):
+            grouping.assign_cross(np.zeros((1, 2)), np.eye(2))
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spotalign import data_io, grouping, model, trainer
+from spotalign import data_io, grouping, losses, model, trainer
 from spotalign.errors import ContractError, DataError, NumericError
 
 
@@ -336,6 +336,88 @@ class TestWarmStart:
         trainer.train_fold(0, plan, batches, mcfg, tcfg)
         assert len(calls) == 6  # 3 epochs x (image, gene)
         assert all(init is None for init, _ in calls)
+
+
+def nearest_unit_groups(rows, centroids):
+    """Each row's group: the nearest centroid to the row scaled to unit length."""
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return ((unit[:, None, :] - centroids) ** 2).sum(axis=-1).argmin(axis=1).tolist()
+
+
+def spy_grouping(monkeypatch):
+    """Record each k-means fit (the rows it clustered and its result) and each
+    cross-level loss call's arguments; fail on any ``group_project`` call."""
+    fits, scored = [], []
+    kmeans, cross_level_loss = grouping.kmeans, losses.cross_level_loss
+
+    def fit(e_clu, k, seed, *, n_init, init):
+        state = kmeans(e_clu, k, seed, n_init=n_init, init=init)
+        fits.append((e_clu, state))
+        return state
+
+    def score(i_ins, g_ins, c_gene, c_img, image_assign, gene_assign, tau_ig):
+        scored.append(SimpleNamespace(fused=i_ins.data, gene=g_ins.data, c_gene=c_gene, c_img=c_img,
+                                      image_targets=image_assign, gene_targets=gene_assign))
+        return cross_level_loss(i_ins, g_ins, c_gene, c_img, image_assign, gene_assign, tau_ig)
+
+    def forbidden(*args):
+        raise AssertionError("training called group_project")
+
+    monkeypatch.setattr(grouping, "kmeans", fit)
+    monkeypatch.setattr(losses, "cross_level_loss", score)
+    monkeypatch.setattr(grouping, "group_project", forbidden)
+    return fits, scored
+
+
+class TestCounterpartTargets:
+    def test_batch_targets_are_the_counterpart_fit_groups(self, monkeypatch):
+        # one 50-spot training slide cut into 20 + 20 + 10: steps 0 and 1 fit
+        # their own rows, step 2 is below k and reuses step 1's centroids
+        batches, mcfg = desk_setup(n_spots=50)
+        tcfg = trainer.TrainConfig(
+            lr=1e-3, batch_size=20, epochs=1, seed=3, k=15, lam=0.8, n_folds=2,
+            kmeans_n_init=2,
+        )
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 3)
+        fits, scored = spy_grouping(monkeypatch)
+        trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        assert len(fits) == 4 and len(scored) == 3
+        for step, call in enumerate(scored):
+            (img_rows, img_fit), (gene_rows, gene_fit) = fits[2 * min(step, 1): 2 * min(step, 1) + 2]
+            assert call.c_img is img_fit.centroids and call.c_gene is gene_fit.centroids
+            if step < 2:  # k-means clustered the scored rows themselves
+                assert img_rows.tobytes() == call.fused.tobytes()
+                assert gene_rows.tobytes() == call.gene.tobytes()
+                assert call.image_targets.tolist() == gene_fit.assignments.tolist()
+                assert call.gene_targets.tolist() == img_fit.assignments.tolist()
+            assert call.image_targets.tolist() == nearest_unit_groups(call.gene, call.c_gene)
+            assert call.gene_targets.tolist() == nearest_unit_groups(call.fused, call.c_img)
+
+    def test_epoch_targets_are_the_counterpart_groups(self, monkeypatch):
+        batches, mcfg = desk_setup(n_spots=40)
+        tcfg = trainer.TrainConfig(
+            lr=1e-3, batch_size=20, epochs=2, seed=6, k=4, lam=0.8, n_folds=2,
+            cluster_refresh="epoch", kmeans_n_init=2,
+        )
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 6)
+        fits, scored = spy_grouping(monkeypatch)
+        trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        assert len(fits) == 4 and len(scored) == 4  # 2 epochs x (2 fits, 2 steps)
+        for i, call in enumerate(scored):
+            epoch = i // 2
+            assert call.c_img is fits[2 * epoch][1].centroids
+            assert call.c_gene is fits[2 * epoch + 1][1].centroids
+            assert call.image_targets.tolist() == nearest_unit_groups(call.gene, call.c_gene)
+            assert call.gene_targets.tolist() == nearest_unit_groups(call.fused, call.c_img)
+
+    @pytest.mark.parametrize("name,change", [("gene/enc/b1", np.nan), ("gene/ffn/b2", 1e200)])
+    def test_refresh_rows_grouping_cannot_place_raise_numeric_error(self, name, change):
+        batches, mcfg = desk_setup(n_spots=40)
+        tcfg = trainer.TrainConfig(k=4, cluster_refresh="epoch", kmeans_n_init=2)
+        params = model.init_params(mcfg, 0)
+        params[name] = params[name] + change  # NaN rows, or finite rows whose squared norm overflows
+        with pytest.raises(NumericError, match="^epoch 2 centroid refresh: "):
+            trainer._epoch_centroids(params, batches, mcfg, tcfg, 0, 2)
 
 
 def inline_schedule(train_batches, cfg, fold_id, epoch):
