@@ -140,9 +140,10 @@ def _load_run_config(path):
 
 
 def _train_one_fold(payload):
-    """Train one fold, writing its log as it runs and its checkpoint at the end."""
+    """Train one fold, writing its log as it runs and its checkpoint at the end,
+    with ``main``'s floating-point error state, which a spawned worker lacks."""
     fold_id, plan, batches, model_cfg, train_cfg, out_dir = payload
-    with open(out_dir / f"fold{fold_id}_train.log", "w", buffering=1) as log:
+    with open(out_dir / f"fold{fold_id}_train.log", "w", buffering=1) as log, np.errstate(all="ignore"):
         result = trainer.train_fold(fold_id, plan, batches, model_cfg, train_cfg,
                                     on_line=lambda line: log.write(line + "\n"))
     model.save_checkpoint(out_dir / f"fold{fold_id}_final.gdml", result.params_final, model_cfg)
@@ -389,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # explicit finiteness checks raise NumericError instead
+            return args.fn(args)
     except (ConfigError, ContractError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

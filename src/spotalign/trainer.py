@@ -1,11 +1,13 @@
 """Optimization loop: patient-grouped folds, Adam with step decay, centroid
-refresh per batch or per epoch, and ``train_fold``, which runs one
-``_train_step``, on its own tape, per batch of each epoch's ``_schedule`` (a
-``_FoldState`` carries what one step hands the next), hands each log line to
-``on_line`` and scores the final parameters once.  ``kmeans_n_init`` counts
-the k-means++ restarts of every epoch-mode fit and of a fold's first
-batch-mode fit; every later batch-mode fit is one Lloyd run from the previous
-step's centroids, a warm start as in mini-batch k-means (Sculley, WWW 2010).
+refresh per batch or per epoch (epoch 0 clusters an eval-mode pass, later
+epochs the rows the last epoch's steps computed, a memory bank as in Wu et
+al., CVPR 2018), and ``train_fold``, which runs one ``_train_step``, on its
+own tape, per batch of each epoch's ``_schedule`` (a ``_FoldState`` carries
+what one step hands the next), hands each log line to ``on_line`` and scores
+the final parameters once.  ``kmeans_n_init`` counts the k-means++ restarts
+of every epoch-mode fit and of a fold's first batch-mode fit; every later
+batch-mode fit is one Lloyd run from the previous step's centroids, a warm
+start as in mini-batch k-means (Sculley, WWW 2010).
 
 Every random stream (init, shuffling, dropout, clustering) is derived from
 the config seed plus structural indices, so a full training run is a pure
@@ -179,12 +181,13 @@ def train_fold(
 ) -> TrainResult:
     """Train one fold and return its final parameters and their test-fold report.
 
-    Each epoch refreshes the centroids from every training spot (epoch mode),
-    then runs one ``_train_step`` per chunk of ``_schedule`` and logs its
-    ``step=`` line after the step, and its tape, are gone.  The test fold is
-    scored once, on the final parameters, so nothing is chosen on it.  Each
-    log line goes to ``on_line`` as it is made, and nowhere else (by default,
-    nowhere).
+    Each epoch refreshes the centroids from every training spot (epoch mode:
+    epoch 0 by ``_epoch_centroids``' eval-mode pass, later epochs from the
+    ``_FoldState.bank`` of the last epoch's step rows), then runs one
+    ``_train_step`` per chunk of ``_schedule`` and logs its ``step=`` line
+    after the step, and its tape, are gone.  The test fold is scored once, on
+    the final parameters, so nothing is chosen on it.  Each log line goes to
+    ``on_line`` as it is made, and nowhere else (by default, nowhere).
     """
     test_ids = set(plan.test_samples(fold_id))
     train_batches = [b for b in batches if b.sample_id not in test_ids]
@@ -196,12 +199,17 @@ def train_fold(
         raise ContractError(f"patients straddle fold {fold_id}: {sorted(straddle)}")
 
     state = _init_state(train_batches, model_cfg, cfg, fold_id)
+    groupable = sum(b.n_spots for b in train_batches) >= cfg.k
     history: list[dict] = []
     report = None
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
         if cfg.lam > 0 and cfg.cluster_refresh == "epoch":
-            state.centroids = _epoch_centroids(state.params, train_batches, model_cfg, cfg, fold_id, epoch)
+            rows, state.bank = state.bank, []
+            if groupable:
+                seeds = [_derived_seed(cfg.seed, fold_id, epoch, s) for s in (23, 29)]
+                state.centroids = (_centroids(rows, cfg, seeds) if epoch
+                                   else _epoch_centroids(state.params, train_batches, model_cfg, cfg, seeds))
         schedule = _schedule(train_batches, cfg, fold_id, epoch)
         epoch_total = 0.0
         for si, chunk in schedule:
@@ -232,6 +240,7 @@ class _FoldState:
     adam: AdamState
     centroids: tuple[np.ndarray, np.ndarray] | None = None  # image, gene
     step: int = 0  # steps taken in this fold, across epochs
+    bank: list = field(default_factory=list)  # epoch mode: this epoch's (fused, gene) step rows
 
 
 def _init_state(train_batches, model_cfg, cfg: TrainConfig, fold_id: int) -> _FoldState:
@@ -275,15 +284,18 @@ def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
 
     cross = ad.constant(0.0)
     if cfg.lam > 0:
-        _check_groupable([emb], f"step {step} epoch {epoch}")
-        if sub.n_spots >= cfg.k and cfg.cluster_refresh == "batch":
+        rows = (emb.fused.data, emb.gene.data)
+        _check_groupable([rows], f"step {step} epoch {epoch}")
+        if cfg.cluster_refresh == "epoch":
+            state.bank.append(rows)  # the arrays only: a tensor would keep this step's tape alive
+        elif sub.n_spots >= cfg.k:
             seeds = [_derived_seed(cfg.seed, fold_id, epoch, step, s) for s in (17, 19)]
-            state.centroids = _centroids([emb], cfg, seeds, state.centroids)
-        elif state.centroids is None:
-            on_line(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
-        elif cfg.cluster_refresh == "batch":
+            state.centroids = _centroids([rows], cfg, seeds, state.centroids)
+        elif state.centroids is not None:
             on_line(f"step={step} epoch={epoch} event=centroids_reused n={sub.n_spots}")
-        if state.centroids is not None:
+        if state.centroids is None:
+            on_line(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
+        else:
             c_img, c_gene = state.centroids
             # each row's target is the group its counterpart, the same spot's other modality, falls in
             img_targets = grouping.assign_cross(emb.gene.data, c_gene)
@@ -298,32 +310,29 @@ def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
     return breakdown
 
 
-def _epoch_centroids(params, train_batches, model_cfg, cfg, fold_id, epoch):
-    """Epoch-mode refresh from every training spot (eval-mode embeddings, per
-    slide for global context); None when there are fewer spots than k."""
-    if sum(b.n_spots for b in train_batches) < cfg.k:
-        return None
+def _epoch_centroids(params, train_batches, model_cfg, cfg, seeds):
+    """Epoch 0's refresh: the centroids of an eval-mode pass over every training
+    spot (per slide for global context); later epochs cluster ``_FoldState.bank``."""
     const_pt = model.as_tensors(params)
     embeddings = [model.forward_embeddings(const_pt, b, model_cfg) for b in train_batches]
-    _check_groupable(embeddings, f"epoch {epoch} centroid refresh")
-    seeds = [_derived_seed(cfg.seed, fold_id, epoch, s) for s in (23, 29)]
-    return _centroids(embeddings, cfg, seeds)
+    rows = [(e.fused.data, e.gene.data) for e in embeddings]
+    _check_groupable(rows, "epoch 0 centroid refresh")
+    return _centroids(rows, cfg, seeds)
 
 
-def _check_groupable(embeddings, where: str) -> None:
-    """NumericError naming ``where`` unless every fused and gene row has a finite squared norm."""
+def _check_groupable(rows, where: str) -> None:
+    """NumericError naming ``where`` unless each row of the array pairs ``rows`` has a finite squared norm."""
     with np.errstate(over="ignore"):
-        if not all(np.isfinite((x * x).sum(axis=-1)).all() for e in embeddings for x in (e.fused.data, e.gene.data)):
+        if not all(np.isfinite((x * x).sum(axis=-1)).all() for pair in rows for x in pair):
             raise NumericError(f"{where}: embeddings that reach grouping are not finite")
 
 
-def _centroids(embeddings, cfg: TrainConfig, seeds, init=None) -> tuple[np.ndarray, np.ndarray]:
-    """Image and gene k-means centroids of the fused and gene rows of
-    ``embeddings`` (their spots concatenated), one seed per modality, or one
-    Lloyd run per modality from the (image, gene) centroids ``init``."""
-    per_modality = zip(*[(e.fused.data, e.gene.data) for e in embeddings])
-    fits = (grouping.kmeans(np.concatenate(rows), cfg.k, seed, n_init=cfg.kmeans_n_init, init=start)
-            for rows, seed, start in zip(per_modality, seeds, init or (None, None)))
+def _centroids(rows, cfg: TrainConfig, seeds, init=None) -> tuple[np.ndarray, np.ndarray]:
+    """Image and gene k-means centroids of the (fused, gene) array pairs
+    ``rows`` (their spots concatenated), one seed per modality, or one Lloyd
+    run per modality from the (image, gene) centroids ``init``."""
+    fits = (grouping.kmeans(np.concatenate(x), cfg.k, seed, n_init=cfg.kmeans_n_init, init=start)
+            for x, seed, start in zip(zip(*rows), seeds, init or (None, None)))
     return tuple(fit.centroids for fit in fits)
 
 

@@ -9,6 +9,8 @@ import random
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import fields
@@ -393,6 +395,25 @@ class TestTrainPipeline:
             assert main(["train", "--config", str(config)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: numeric: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("refresh,jobs", [("batch", 1), ("epoch", 1), ("batch", 2)])
+    def test_diverging_run_writes_one_stderr_line(self, tmp_path, refresh, jobs):
+        # the installed entry point in a fresh interpreter, where numpy reports
+        # floating-point faults as it does outside pytest
+        spec = tmp_path / "synth.ini"
+        spec.write_text(SYNTH_SPEC.replace("n_spots = 40\n", "n_spots = 120\n"))
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "study")]) == 0
+        config = tmp_path / "run.ini"
+        config.write_text(RUN_CONFIG.replace("lr = 0.002\n", f"lr = 1e150\ncluster_refresh = {refresh}\n"))
+        src = Path(cli.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from spotalign.cli import main; sys.exit(main())",
+             "train", "--config", str(config), "--jobs", str(jobs)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.getenv("PYTHONPATH")]))},
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: numeric: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_rerun_removes_every_earlier_fold(self, study_dir):
         # a folds = 3 run, say, left fold2_*: this two-fold run keeps none of them

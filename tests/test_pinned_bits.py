@@ -1,6 +1,6 @@
-"""Recorded bits: the final parameters of the determinism config, and the
-files of a tiny two-epoch ``train`` -> ``predict`` run, hashed and compared
-with constants.
+"""Recorded bits: the final parameters of the determinism config, in batch
+and in epoch refresh mode, and the files of a tiny two-epoch ``train`` ->
+``predict`` run, hashed and compared with constants.
 
 Seeded runs repeat bitwise, so any change to these hashes is a change to
 what the program computes.  A change that moves bits on purpose updates the
@@ -17,6 +17,8 @@ from spotalign.cli import main
 
 # sha256 of the determinism config's final parameters (``params_hash``)
 PARAMS_FINGERPRINT = "a7ff3fe30d9a6d4c4eaa04fcf264562e213e1854907b7bad16f969733f314d12"
+# the same with ``cluster_refresh="epoch"``
+EPOCH_PARAMS_FINGERPRINT = "f4bd01476a342539ef9dccedcbb9a3bcb74548b52b79aa5d8d107ab79bb8a571"
 # sha256 of each file of the tiny train -> predict run
 RUN_FILES = {
     "run/fold0_final.gdml": "9c6f31522f2046a14fbdf6b4603c3f302b5f86390f335cca4d7c01d0710f1ffd",
@@ -82,7 +84,7 @@ def moved(what: str, got: str, want: str) -> str:
             "old -> new in CHANGES.md, with the ABLATION lines.")
 
 
-def test_determinism_config_parameters():
+def determinism_config_hash(refresh: str) -> str:
     spec = data_io.SynthSpec(
         n_spots=60, n_slides=2, latent_dim=4, n_genes=8, d_in=12, seed=21, n_clusters=3,
     )
@@ -90,11 +92,21 @@ def test_determinism_config_parameters():
     mcfg = model.ModelConfig(n_genes=8, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16, dropout=0.1)
     tcfg = trainer.TrainConfig(
         lr=1e-3, batch_size=30, epochs=3, seed=13, k=4, lam=0.8,
-        multi_ins_weight=1.0, n_folds=2, kmeans_n_init=2,
+        multi_ins_weight=1.0, n_folds=2, kmeans_n_init=2, cluster_refresh=refresh,
     )
     plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 13)
-    got = params_hash(trainer.train_fold(0, plan, batches, mcfg, tcfg).params_final)
+    return params_hash(trainer.train_fold(0, plan, batches, mcfg, tcfg).params_final)
+
+
+def test_determinism_config_parameters():
+    got = determinism_config_hash("batch")
     assert got == PARAMS_FINGERPRINT, moved("the determinism config's parameters", got, PARAMS_FINGERPRINT)
+
+
+def test_determinism_config_parameters_in_epoch_mode():
+    got = determinism_config_hash("epoch")
+    assert got == EPOCH_PARAMS_FINGERPRINT, moved(
+        "the determinism config's parameters in epoch mode", got, EPOCH_PARAMS_FINGERPRINT)
 
 
 def test_train_predict_files(tmp_path, monkeypatch):

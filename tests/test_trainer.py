@@ -1,7 +1,9 @@
 """Optimizer, schedule, fold-plan, and training-loop tests."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spotalign import autodiff as ad
 from spotalign import data_io, grouping, losses, model, trainer
 from spotalign.errors import ContractError, DataError, NumericError
 
@@ -416,8 +419,87 @@ class TestCounterpartTargets:
         tcfg = trainer.TrainConfig(k=4, cluster_refresh="epoch", kmeans_n_init=2)
         params = model.init_params(mcfg, 0)
         params[name] = params[name] + change  # NaN rows, or finite rows whose squared norm overflows
-        with pytest.raises(NumericError, match="^epoch 2 centroid refresh: "):
-            trainer._epoch_centroids(params, batches, mcfg, tcfg, 0, 2)
+        with pytest.raises(NumericError, match="^epoch 0 centroid refresh: "):
+            trainer._epoch_centroids(params, batches, mcfg, tcfg, seeds=(1, 2))
+
+
+class TestEpochBank:
+    # two 30-spot training slides per fold, batch 20: each epoch runs 4 steps,
+    # taken round-robin across the slides, so step order is not slide order
+    CFG = dict(lr=1e-3, batch_size=20, epochs=3, seed=6, k=4, lam=0.8, n_folds=2,
+               cluster_refresh="epoch", kmeans_n_init=2)
+
+    def fold_setup(self):
+        batches, mcfg = desk_setup(n_spots=30, n_slides=4)
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 6)
+        train = [b for b in batches if b.sample_id not in set(plan.folds[0])]
+        assert len(train) == 2
+        return batches, mcfg, plan, train, trainer.TrainConfig(**self.CFG)
+
+    def test_eval_pass_only_at_epoch_0(self, monkeypatch):
+        batches, mcfg, plan, train, tcfg = self.fold_setup()
+        lines: list[str] = []
+        calls = []  # (eval mode, epoch, sample id) of each forward_embeddings call
+        forward = model.forward_embeddings
+
+        def spy(p, batch, cfg, rng=None):
+            epoch = sum(line.startswith("epoch=") for line in lines)
+            calls.append((rng is None, epoch, batch.sample_id))
+            return forward(p, batch, cfg, rng)
+
+        monkeypatch.setattr(model, "forward_embeddings", spy)
+        trainer.train_fold(0, plan, batches, mcfg, tcfg, on_line=lines.append)
+        assert [(e, sid) for is_eval, e, sid in calls if is_eval] == [(0, b.sample_id) for b in train]
+        assert [e for is_eval, e, _ in calls if not is_eval] == [0] * 4 + [1] * 4 + [2] * 4
+
+    def test_later_epochs_cluster_the_last_epochs_step_rows(self, monkeypatch):
+        batches, mcfg, plan, train, tcfg = self.fold_setup()
+        steps = {}  # e -> epoch e - 1's step (fused, gene) rows, in step order
+        forward, kmeans = model.forward_embeddings, grouping.kmeans
+        fits = []
+
+        def spy_forward(p, batch, cfg, rng=None):
+            emb = forward(p, batch, cfg, rng)
+            if rng is not None:  # a training step; len(fits) // 2 refreshes have run
+                steps.setdefault(len(fits) // 2, []).append((emb.fused.data.copy(), emb.gene.data.copy()))
+            return emb
+
+        def spy_kmeans(e_clu, k, seed, *, n_init, init):
+            fits.append((e_clu.copy(), k, seed, n_init, init))
+            return kmeans(e_clu, k, seed, n_init=n_init, init=init)
+
+        monkeypatch.setattr(model, "forward_embeddings", spy_forward)
+        monkeypatch.setattr(grouping, "kmeans", spy_kmeans)
+        trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        assert len(fits) == 6 and sorted(steps) == [1, 2, 3]  # 3 epochs x (image, gene)
+        for epoch in (1, 2):
+            for modality, salt in enumerate((23, 29)):
+                rows, k, seed, n_init, init = fits[2 * epoch + modality]
+                want = np.concatenate([pair[modality] for pair in steps[epoch]])
+                assert rows.shape == (60, 8) and rows.tobytes() == want.tobytes(), (epoch, modality)
+                assert (k, seed, n_init, init) == (4, trainer._derived_seed(6, 0, epoch, salt), 2, None)
+
+    def test_bank_keeps_no_tape_alive(self, monkeypatch):
+        batches, mcfg, plan, train, tcfg = self.fold_setup()
+        tapes = []
+        train_step = trainer._train_step
+
+        class RecordedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        def step(state, *args):
+            breakdown = train_step(state, *args)
+            gc.collect()
+            assert tapes[-1]() is None
+            assert all(type(x) is np.ndarray for pair in state.bank for x in pair)
+            return breakdown
+
+        monkeypatch.setattr(ad, "Tape", RecordedTape)
+        monkeypatch.setattr(trainer, "_train_step", step)
+        trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        assert len(tapes) == 12
 
 
 def inline_schedule(train_batches, cfg, fold_id, epoch):
