@@ -2,7 +2,8 @@
 per start: ``n_init`` seeded k-means++ draws, or the given centroids), and
 ``assign_cross``, which puts a row in the group whose centroid is nearest its
 unit-normalized form by ``_nearest``, the rule of Lloyd's final assignment, so
-a row that took part in a fit falls in the group the fit gave it.
+a row that took part in a fit falls in the group the fit gave it.  Training
+groups the fused and gene embeddings themselves, through no parameter.
 
 Centroids are means of normalized member rows and are deliberately not
 re-normalized.  All tie-breaks are by lowest index, and every function is a
@@ -41,15 +42,11 @@ class GroupState:
 
 
 def group_project(p: dict[str, DiffTensor], e_ins, modality: str) -> DiffTensor:
-    """Affine map of instance embeddings by the ``group_<modality>`` weights.
-
-    Training does not call it: k-means clusters the embeddings themselves.
-    The weights stay in the parameter table, drawn at init and never
-    trained."""
+    """``e_ins`` unchanged: the rows k-means groups for ``modality``, as training
+    groups them (``p`` is unused; training does not call this)."""
     if modality not in ("image", "gene"):
         raise ContractError(f"modality must be 'image' or 'gene', got {modality!r}")
-    x = ad.as_tensor(e_ins)
-    return ad.linear(x, p[f"group_{modality}/w"], p[f"group_{modality}/b"])
+    return ad.as_tensor(e_ins)
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .errors import ContractError, DataError, ShapeError, check_fields
 SCALES = ("local", "neighbor", "global")
 
 _SPOT_BLOCK = 64  # spots per neighbor-encoder pass when nothing is taped
+_LEGACY_PARAMS = {"param:group_image/w", "param:group_image/b", "param:group_gene/w", "param:group_gene/b"}
 
 
 @dataclass
@@ -103,10 +104,6 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes.update(_block_shapes("fusion/block0", cfg.d, cfg.d_ff))
     shapes.update(_ffn_shapes("gene/enc", cfg.n_genes, cfg.d, cfg.d))
     shapes.update(_ffn_shapes("gene/ffn", cfg.d, cfg.d_ff, cfg.d))
-    shapes["group_image/w"] = (cfg.d, cfg.d)
-    shapes["group_image/b"] = (cfg.d,)
-    shapes["group_gene/w"] = (cfg.d, cfg.d)
-    shapes["group_gene/b"] = (cfg.d,)
     shapes["pred/w"] = (cfg.d, cfg.n_genes)
     shapes["pred/b"] = (cfg.n_genes,)
     return shapes
@@ -117,6 +114,8 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg).items():
+        if name == "pred/w":  # the deleted group_* head's two d x d draws: later draws keep their bits
+            rng.normal(size=(2, cfg.d, cfg.d))
         leaf = name.rsplit("/", 1)[1]
         if leaf == "g":
             params[name] = np.ones(shape)
@@ -315,10 +314,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: ModelConfig) -> No
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     """Parameters and config of a checkpoint; anything that does not describe
-    a valid model raises DataError.  A ``config:`` entry that names no
-    ModelConfig field is ignored, such as the ``global_blocks`` and
-    ``fusion_blocks`` of older checkpoints; their parameters must still be
-    those of one global and one fusion block."""
+    a valid model raises DataError.  Older checkpoints load: a ``config:``
+    entry that names no ModelConfig field, such as ``global_blocks``, is
+    ignored (their parameters must still be one global and one fusion
+    block's), and their never-trained ``group_*`` head is dropped."""
     entries = data_io.read_container(path)
     kwargs = {}
     for f in fields(ModelConfig):
@@ -334,9 +333,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
         cfg = ModelConfig(**kwargs)
     except ContractError as exc:
         raise DataError(f"checkpoint {path}: {exc}") from exc
-    params = {
-        name[len("param:") :]: arr for name, arr in entries.items() if name.startswith("param:")
-    }
+    params = {name[len("param:") :]: arr for name, arr in entries.items()
+              if name.startswith("param:") and name not in _LEGACY_PARAMS}
     # a corrupt block count must not make param_shapes loop for ever
     if cfg.neighbor_blocks > len(params) or set(params) != set(expected := param_shapes(cfg)):
         raise DataError(f"checkpoint {path} parameter names do not match its config")

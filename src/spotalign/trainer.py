@@ -1,13 +1,14 @@
 """Optimization loop: patient-grouped folds, Adam with step decay, centroid
-refresh per batch or per epoch (epoch 0 clusters an eval-mode pass, later
-epochs the rows the last epoch's steps computed, a memory bank as in Wu et
-al., CVPR 2018), and ``train_fold``, which runs one ``_train_step``, on its
-own tape, per batch of each epoch's ``_schedule`` (a ``_FoldState`` carries
-what one step hands the next), hands each log line to ``on_line`` and scores
-the final parameters once.  ``kmeans_n_init`` counts the k-means++ restarts
-of every epoch-mode fit and of a fold's first batch-mode fit; every later
-batch-mode fit is one Lloyd run from the previous step's centroids, a warm
-start as in mini-batch k-means (Sculley, WWW 2010).
+refresh per batch or per epoch from a bank of the rows the next fit clusters
+(a batch step's own rows, or every step's of the last epoch: a memory bank
+as in Wu et al., CVPR 2018; epoch 0 clusters an eval-mode pass), and
+``train_fold``, which runs one ``_train_step``, on its own tape, per batch of
+each epoch's ``_schedule`` (a ``_FoldState`` carries what one step hands the
+next), hands each log line to ``on_line`` and scores the final parameters
+once.  ``kmeans_n_init`` counts the k-means++ restarts of every epoch-mode
+fit and of a fold's first batch-mode fit; every later batch-mode fit is one
+Lloyd run from the previous step's centroids, a warm start as in mini-batch
+k-means (Sculley, WWW 2010).
 
 Every random stream (init, shuffling, dropout, clustering) is derived from
 the config seed plus structural indices, so a full training run is a pure
@@ -181,13 +182,14 @@ def train_fold(
 ) -> TrainResult:
     """Train one fold and return its final parameters and their test-fold report.
 
-    Each epoch refreshes the centroids from every training spot (epoch mode:
-    epoch 0 by ``_epoch_centroids``' eval-mode pass, later epochs from the
-    ``_FoldState.bank`` of the last epoch's step rows), then runs one
-    ``_train_step`` per chunk of ``_schedule`` and logs its ``step=`` line
-    after the step, and its tape, are gone.  The test fold is scored once, on
-    the final parameters, so nothing is chosen on it.  Each log line goes to
-    ``on_line`` as it is made, and nowhere else (by default, nowhere).
+    Each epoch runs one ``_train_step`` per chunk of ``_schedule`` (a batch
+    step fits the centroids to its own rows) and logs its ``step=`` line after
+    the step, and its tape, are gone.  In epoch mode it first fits them to
+    every training spot: epoch 0 to ``_epoch_centroids``' eval-mode pass,
+    later epochs to the ``_FoldState.bank`` of the last epoch's step rows.  The
+    test fold is scored once, on the final parameters, so nothing is chosen
+    on it.  Each log line goes to ``on_line`` as it is made, and nowhere else
+    (by default, nowhere).
     """
     test_ids = set(plan.test_samples(fold_id))
     train_batches = [b for b in batches if b.sample_id not in test_ids]
@@ -240,7 +242,8 @@ class _FoldState:
     adam: AdamState
     centroids: tuple[np.ndarray, np.ndarray] | None = None  # image, gene
     step: int = 0  # steps taken in this fold, across epochs
-    bank: list = field(default_factory=list)  # epoch mode: this epoch's (fused, gene) step rows
+    # the (fused, gene) arrays the next fit clusters: a batch step's own, or each step's of this epoch
+    bank: list = field(default_factory=list)
 
 
 def _init_state(train_batches, model_cfg, cfg: TrainConfig, fold_id: int) -> _FoldState:
@@ -288,11 +291,13 @@ def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
         _check_groupable([rows], f"step {step} epoch {epoch}")
         if cfg.cluster_refresh == "epoch":
             state.bank.append(rows)  # the arrays only: a tensor would keep this step's tape alive
-        elif sub.n_spots >= cfg.k:
-            seeds = [_derived_seed(cfg.seed, fold_id, epoch, step, s) for s in (17, 19)]
-            state.centroids = _centroids([rows], cfg, seeds, state.centroids)
-        elif state.centroids is not None:
-            on_line(f"step={step} epoch={epoch} event=centroids_reused n={sub.n_spots}")
+        else:
+            state.bank = [rows]  # the rows this step's own fit clusters
+            if sub.n_spots >= cfg.k:
+                seeds = [_derived_seed(cfg.seed, fold_id, epoch, step, s) for s in (17, 19)]
+                state.centroids = _centroids(state.bank, cfg, seeds, state.centroids)
+            elif state.centroids is not None:
+                on_line(f"step={step} epoch={epoch} event=centroids_reused n={sub.n_spots}")
         if state.centroids is None:
             on_line(f"step={step} epoch={epoch} event=cross_skipped reason=no_centroids")
         else:
@@ -311,8 +316,7 @@ def _train_step(state: _FoldState, sub: SpotBatch, model_cfg, cfg: TrainConfig,
 
 
 def _epoch_centroids(params, train_batches, model_cfg, cfg, seeds):
-    """Epoch 0's refresh: the centroids of an eval-mode pass over every training
-    spot (per slide for global context); later epochs cluster ``_FoldState.bank``."""
+    """Epoch 0's centroids, of an eval-mode pass over every training spot (per slide, for global context)."""
     const_pt = model.as_tensors(params)
     embeddings = [model.forward_embeddings(const_pt, b, model_cfg) for b in train_batches]
     rows = [(e.fused.data, e.gene.data) for e in embeddings]

@@ -776,6 +776,39 @@ class TestMalformedInputs:
         ])
         assert_one_data_error(code, capsys.readouterr().err)
 
+    def test_older_checkpoints_group_head_is_dropped(self, study_dir, capsys):
+        # checkpoints written before the never-trained group_* head was
+        # deleted carry it between gene/ffn/* and pred/w
+        cfg = ModelConfig(n_genes=10, d_in=12, d=8, heads=2, neighbor_blocks=1, d_ff=16)
+        current = study_dir / "ck.gdml"
+        model.save_checkpoint(current, model.init_params(cfg, 0), cfg)
+        rng = np.random.default_rng(0)
+        head = {f"param:group_{m}/{p}": rng.normal(size=(8, 8) if p == "w" else 8)
+                for m in ("image", "gene") for p in "wb"}
+        older = {}
+        for name, arr in data_io.read_container(current).items():
+            if name == "param:pred/w":
+                older.update(head)
+            older[name] = arr
+        data_io.write_container(study_dir / "older.gdml", older)
+        data_io.write_container(study_dir / "stray.gdml", older | {"param:group_fused/w": np.eye(8)})
+
+        def predict(name):
+            return main(["predict", "--checkpoint", str(study_dir / f"{name}.gdml"),
+                         "--manifest", str(study_dir / "study" / "manifest.ini"),
+                         "--out", str(study_dir / name)])
+
+        params, _ = model.load_checkpoint(study_dir / "older.gdml")
+        assert list(params) == list(model.param_shapes(cfg))
+        assert predict("ck") == 0 and predict("older") == 0
+        assert (study_dir / "older" / "predictions.gdml").read_bytes() == (
+            study_dir / "ck" / "predictions.gdml").read_bytes()
+        capsys.readouterr()
+        code = predict("stray")  # any other unknown parameter name still fails
+        err = capsys.readouterr().err
+        assert_one_data_error(code, err)
+        assert "parameter names do not match" in err
+
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     @pytest.mark.parametrize("fault", [
         "non_integer_coord", "no_study_genes", "no_study_columns", "empty_gene_selection",

@@ -92,31 +92,12 @@ def oracle_points(seed: int) -> tuple[np.ndarray, int]:
 
 
 class TestGroupProject:
-    def test_zero_weights(self):
+    @pytest.mark.parametrize("modality", ["image", "gene"])
+    def test_returns_its_rows_unchanged(self, modality):
         cfg = model.ModelConfig(n_genes=4, d_in=4, d=4, heads=2, d_ff=8, dropout=0.0)
-        params = model.init_params(cfg, 0)
-        params["group_image/w"][:] = 0.0
-        params["group_image/b"][:] = 0.0
-        out = grouping.group_project(model.as_tensors(params), np.ones((3, 4)), "image")
-        np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
-
-    def test_identity_weights_passthrough(self):
-        cfg = model.ModelConfig(n_genes=4, d_in=4, d=4, heads=2, d_ff=8, dropout=0.0)
-        params = model.init_params(cfg, 0)
-        params["group_gene/w"] = np.eye(4)
-        params["group_gene/b"][:] = 0.0
         x = np.random.default_rng(0).normal(size=(5, 4))
-        out = grouping.group_project(model.as_tensors(params), x, "gene")
-        np.testing.assert_array_equal(out.data, x)
-
-    def test_matmul_oracle(self):
-        cfg = model.ModelConfig(n_genes=4, d_in=4, d=4, heads=2, d_ff=8, dropout=0.0)
-        params = model.init_params(cfg, 1)
-        x = np.random.default_rng(1).normal(size=(6, 4))
-        out = grouping.group_project(model.as_tensors(params), x, "image")
-        np.testing.assert_allclose(
-            out.data, x @ params["group_image/w"] + params["group_image/b"], rtol=1e-13
-        )
+        out = grouping.group_project(model.as_tensors(model.init_params(cfg, 0)), x, modality)
+        assert out.data.tobytes() == x.tobytes() and out.shape == x.shape
 
     def test_unknown_modality(self):
         cfg = model.ModelConfig(n_genes=4, d_in=4, d=4, heads=2, d_ff=8, dropout=0.0)

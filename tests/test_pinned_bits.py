@@ -16,12 +16,12 @@ from spotalign import data_io, model, trainer
 from spotalign.cli import main
 
 # sha256 of the determinism config's final parameters (``params_hash``)
-PARAMS_FINGERPRINT = "a7ff3fe30d9a6d4c4eaa04fcf264562e213e1854907b7bad16f969733f314d12"
+PARAMS_FINGERPRINT = "6100a6f3a2eceea810972a78b742845c2e67faea2056f6774e7f001dd4818c21"
 # the same with ``cluster_refresh="epoch"``
-EPOCH_PARAMS_FINGERPRINT = "f4bd01476a342539ef9dccedcbb9a3bcb74548b52b79aa5d8d107ab79bb8a571"
+EPOCH_PARAMS_FINGERPRINT = "de6f5ad2bc36a69651a6dee18742c5ef391589c5e17bcce68da6a85401b1d0fc"
 # sha256 of each file of the tiny train -> predict run
 RUN_FILES = {
-    "run/fold0_final.gdml": "9c6f31522f2046a14fbdf6b4603c3f302b5f86390f335cca4d7c01d0710f1ffd",
+    "run/fold0_final.gdml": "d2823b13c7deca4abcc73ad50126e42e8bdbdecbe22858a5e3f4e0a1b3972ae8",
     "run/report.csv": "d181511a2914ee24bca94039ddaa033bde2c5d79ef965c25ddf60014fea91344",
     "pred/predictions.gdml": "20e5c14def2db3ae07cc0b2fa354b08405910514ef042ef2f156b2f768db4c97",
 }

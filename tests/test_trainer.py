@@ -481,25 +481,73 @@ class TestEpochBank:
 
     def test_bank_keeps_no_tape_alive(self, monkeypatch):
         batches, mcfg, plan, train, tcfg = self.fold_setup()
-        tapes = []
-        train_step = trainer._train_step
+        assert_bank_keeps_no_tape_alive(monkeypatch, plan, batches, mcfg, tcfg)
 
-        class RecordedTape(ad.Tape):
-            def __init__(self):
-                super().__init__()
-                tapes.append(weakref.ref(self))
 
-        def step(state, *args):
-            breakdown = train_step(state, *args)
-            gc.collect()
-            assert tapes[-1]() is None
-            assert all(type(x) is np.ndarray for pair in state.bank for x in pair)
+def assert_bank_keeps_no_tape_alive(monkeypatch, plan, batches, mcfg, tcfg):
+    """Each step's ``Tape`` is dead once ``_train_step`` returns, and the bank
+    holds only ndarrays; the fold runs 12 steps."""
+    tapes = []
+    train_step = trainer._train_step
+
+    class RecordedTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    def step(state, *args):
+        breakdown = train_step(state, *args)
+        gc.collect()
+        assert tapes[-1]() is None
+        assert state.bank and all(type(x) is np.ndarray for pair in state.bank for x in pair)
+        return breakdown
+
+    monkeypatch.setattr(ad, "Tape", RecordedTape)
+    monkeypatch.setattr(trainer, "_train_step", step)
+    trainer.train_fold(0, plan, batches, mcfg, tcfg)
+    assert len(tapes) == 12
+
+
+class TestBatchBank:
+    def test_bank_is_the_steps_own_rows_and_each_fit_clusters_them(self, monkeypatch):
+        # one 50-spot training slide cut into 20 + 20 + 10 for 2 epochs: the
+        # 20-spot steps fit their own rows, the 10-spot steps are below k
+        batches, mcfg = desk_setup(n_spots=50)
+        tcfg = trainer.TrainConfig(lr=1e-3, batch_size=20, epochs=2, seed=3, k=15, lam=0.8,
+                                   n_folds=2, kmeans_n_init=2)
+        plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 3)
+        forward, kmeans, train_step = model.forward_embeddings, grouping.kmeans, trainer._train_step
+        rows, fits, sizes = [], [], []
+
+        def spy_forward(p, batch, cfg, rng=None):
+            emb = forward(p, batch, cfg, rng)
+            rows.append((emb.fused.data, emb.gene.data))
+            return emb
+
+        def spy_kmeans(e_clu, k, seed, *, n_init, init):
+            fits.append(e_clu.copy())
+            return kmeans(e_clu, k, seed, n_init=n_init, init=init)
+
+        def step(state, sub, *args):
+            before = len(fits)
+            breakdown = train_step(state, sub, *args)
+            fused, gene = rows[-1]
+            assert len(state.bank) == 1 and state.bank[0][0] is fused and state.bank[0][1] is gene
+            want = [fused.tobytes(), gene.tobytes()] if sub.n_spots >= tcfg.k else []
+            assert [x.tobytes() for x in fits[before:]] == want
+            sizes.append(sub.n_spots)
             return breakdown
 
-        monkeypatch.setattr(ad, "Tape", RecordedTape)
+        monkeypatch.setattr(model, "forward_embeddings", spy_forward)
+        monkeypatch.setattr(grouping, "kmeans", spy_kmeans)
         monkeypatch.setattr(trainer, "_train_step", step)
         trainer.train_fold(0, plan, batches, mcfg, tcfg)
-        assert len(tapes) == 12
+        assert sizes == [20, 20, 10] * 2 and len(fits) == 8
+
+    def test_bank_keeps_no_tape_alive(self, monkeypatch):
+        batches, mcfg, plan, train, tcfg = TestEpochBank().fold_setup()
+        tcfg = dataclasses.replace(tcfg, cluster_refresh="batch")
+        assert_bank_keeps_no_tape_alive(monkeypatch, plan, batches, mcfg, tcfg)
 
 
 def inline_schedule(train_batches, cfg, fold_id, epoch):
