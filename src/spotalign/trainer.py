@@ -5,10 +5,9 @@ as in Wu et al., CVPR 2018; epoch 0 clusters an eval-mode pass), and
 ``train_fold``, which runs one ``_train_step``, on its own tape, per batch of
 each epoch's ``_schedule`` (a ``_FoldState`` carries what one step hands the
 next), hands each log line to ``on_line`` and scores the final parameters
-once.  ``kmeans_n_init`` counts the k-means++ restarts of every epoch-mode
-fit and of a fold's first batch-mode fit; every later batch-mode fit is one
-Lloyd run from the previous step's centroids, a warm start as in mini-batch
-k-means (Sculley, WWW 2010).
+once.  ``kmeans_n_init`` counts the k-means++ restarts of a fold's first fit,
+and every later fit, in either mode, is one Lloyd run from the last centroids
+(a warm start as in mini-batch k-means, Sculley, WWW 2010).
 
 Every random stream (init, shuffling, dropout, clustering) is derived from
 the config seed plus structural indices, so a full training run is a pure
@@ -46,7 +45,7 @@ class TrainConfig:
     multi_ins_weight: float = 1.0
     n_folds: int = 2
     cluster_refresh: str = "batch"  # "batch" or "epoch"
-    kmeans_n_init: int = 10  # restarts of every epoch-mode fit and of a fold's first batch-mode fit
+    kmeans_n_init: int = 10  # restarts of a fold's first fit; later fits start from the last centroids
 
     def __post_init__(self):
         check_fields(self, (("batch_size", 1), ("epochs", 1), ("k", 1), ("kmeans_n_init", 1),
@@ -185,11 +184,12 @@ def train_fold(
     Each epoch runs one ``_train_step`` per chunk of ``_schedule`` (a batch
     step fits the centroids to its own rows) and logs its ``step=`` line after
     the step, and its tape, are gone.  In epoch mode it first fits them to
-    every training spot: epoch 0 to ``_epoch_centroids``' eval-mode pass,
-    later epochs to the ``_FoldState.bank`` of the last epoch's step rows.  The
-    test fold is scored once, on the final parameters, so nothing is chosen
-    on it.  Each log line goes to ``on_line`` as it is made, and nowhere else
-    (by default, nowhere).
+    every training spot: epoch 0 to ``_epoch_centroids``' eval-mode pass, later
+    epochs to the ``_FoldState.bank`` of the last epoch's step rows, and
+    empties it.  A fold's first fit runs ``kmeans_n_init`` restarts, each later
+    one a Lloyd run from the last centroids.  The test fold is scored once, on
+    the final parameters, so nothing is chosen on it.  Each log line goes to
+    ``on_line`` as it is made, and nowhere else (by default, nowhere).
     """
     test_ids = set(plan.test_samples(fold_id))
     train_batches = [b for b in batches if b.sample_id not in test_ids]
@@ -207,11 +207,11 @@ def train_fold(
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
         if cfg.lam > 0 and cfg.cluster_refresh == "epoch":
-            rows, state.bank = state.bank, []
             if groupable:
                 seeds = [_derived_seed(cfg.seed, fold_id, epoch, s) for s in (23, 29)]
-                state.centroids = (_centroids(rows, cfg, seeds) if epoch
+                state.centroids = (_centroids(state.bank, cfg, seeds, state.centroids) if epoch
                                    else _epoch_centroids(state.params, train_batches, model_cfg, cfg, seeds))
+            state.bank = []
         schedule = _schedule(train_batches, cfg, fold_id, epoch)
         epoch_total = 0.0
         for si, chunk in schedule:
@@ -333,8 +333,8 @@ def _check_groupable(rows, where: str) -> None:
 
 def _centroids(rows, cfg: TrainConfig, seeds, init=None) -> tuple[np.ndarray, np.ndarray]:
     """Image and gene k-means centroids of the (fused, gene) array pairs
-    ``rows`` (their spots concatenated), one seed per modality, or one Lloyd
-    run per modality from the (image, gene) centroids ``init``."""
+    ``rows`` (their spots concatenated): ``kmeans_n_init`` restarts from one
+    seed per modality, or one Lloyd run each from the last centroids ``init``."""
     fits = (grouping.kmeans(np.concatenate(x), cfg.k, seed, n_init=cfg.kmeans_n_init, init=start)
             for x, seed, start in zip(zip(*rows), seeds, init or (None, None)))
     return tuple(fit.centroids for fit in fits)

@@ -18,7 +18,7 @@ from spotalign.cli import main
 # sha256 of the determinism config's final parameters (``params_hash``)
 PARAMS_FINGERPRINT = "6100a6f3a2eceea810972a78b742845c2e67faea2056f6774e7f001dd4818c21"
 # the same with ``cluster_refresh="epoch"``
-EPOCH_PARAMS_FINGERPRINT = "de6f5ad2bc36a69651a6dee18742c5ef391589c5e17bcce68da6a85401b1d0fc"
+EPOCH_PARAMS_FINGERPRINT = "0b1e3a951751976c3dea82d08720001be33f90bcc46a9ecc99d4fa5b9a98bc76"
 # sha256 of each file of the tiny train -> predict run
 RUN_FILES = {
     "run/fold0_final.gdml": "d2823b13c7deca4abcc73ad50126e42e8bdbdecbe22858a5e3f4e0a1b3972ae8",

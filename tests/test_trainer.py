@@ -328,17 +328,30 @@ class TestWarmStart:
             for i in range(2, 8):  # the previous fit of the same modality, across the sub-k step
                 assert calls[i][0] is calls[i - 2][1], i
 
-    def test_epoch_refresh_is_always_cold(self, monkeypatch):
+    def test_epoch_refresh_starts_from_previous_epoch_centroids(self, monkeypatch):
+        # epoch 0 fits cold with kmeans_n_init restarts; each later epoch runs
+        # one Lloyd per modality from the previous epoch's centroids
         batches, mcfg = desk_setup(n_spots=40)
         tcfg = trainer.TrainConfig(
             lr=1e-3, batch_size=20, epochs=3, seed=6, k=4, lam=0.8, n_folds=2,
             cluster_refresh="epoch", kmeans_n_init=2,
         )
         plan = trainer.make_folds([(b.sample_id, b.patient_id) for b in batches], 2, 6)
-        calls = spy_kmeans(monkeypatch)
+        fits = []  # (n_init, the start's bytes or None, the fitted centroids' bytes) per fit
+        kmeans = grouping.kmeans
+
+        def spy(e_clu, k, seed, *, n_init, init):
+            start = None if init is None else init.tobytes()
+            state = kmeans(e_clu, k, seed, n_init=n_init, init=init)
+            fits.append((n_init, start, state.centroids.tobytes()))
+            return state
+
+        monkeypatch.setattr(grouping, "kmeans", spy)
         trainer.train_fold(0, plan, batches, mcfg, tcfg)
-        assert len(calls) == 6  # 3 epochs x (image, gene)
-        assert all(init is None for init, _ in calls)
+        assert len(fits) == 6  # 3 epochs x (image, gene)
+        assert [fit[:2] for fit in fits[:2]] == [(2, None), (2, None)]
+        for i in range(2, 6):  # the previous epoch's fit of the same modality
+            assert fits[i][1] is not None and fits[i][1] == fits[i - 2][2], i
 
 
 def nearest_unit_groups(rows, centroids):
@@ -465,8 +478,9 @@ class TestEpochBank:
             return emb
 
         def spy_kmeans(e_clu, k, seed, *, n_init, init):
-            fits.append((e_clu.copy(), k, seed, n_init, init))
-            return kmeans(e_clu, k, seed, n_init=n_init, init=init)
+            state = kmeans(e_clu, k, seed, n_init=n_init, init=init)
+            fits.append((e_clu.copy(), k, seed, n_init, init, state.centroids))
+            return state
 
         monkeypatch.setattr(model, "forward_embeddings", spy_forward)
         monkeypatch.setattr(grouping, "kmeans", spy_kmeans)
@@ -474,14 +488,33 @@ class TestEpochBank:
         assert len(fits) == 6 and sorted(steps) == [1, 2, 3]  # 3 epochs x (image, gene)
         for epoch in (1, 2):
             for modality, salt in enumerate((23, 29)):
-                rows, k, seed, n_init, init = fits[2 * epoch + modality]
+                rows, k, seed, n_init, init, _ = fits[2 * epoch + modality]
                 want = np.concatenate([pair[modality] for pair in steps[epoch]])
                 assert rows.shape == (60, 8) and rows.tobytes() == want.tobytes(), (epoch, modality)
-                assert (k, seed, n_init, init) == (4, trainer._derived_seed(6, 0, epoch, salt), 2, None)
+                assert (k, seed, n_init) == (4, trainer._derived_seed(6, 0, epoch, salt), 2)
+                assert init is fits[2 * (epoch - 1) + modality][5]  # the last fit's centroids
 
     def test_bank_keeps_no_tape_alive(self, monkeypatch):
         batches, mcfg, plan, train, tcfg = self.fold_setup()
         assert_bank_keeps_no_tape_alive(monkeypatch, plan, batches, mcfg, tcfg)
+
+    def test_banked_rows_die_at_the_next_refresh(self, monkeypatch):
+        # checked as each step starts, so after its epoch's refresh has returned
+        batches, mcfg, plan, train, tcfg = self.fold_setup()
+        banked = {}  # epoch -> weakrefs to the arrays its steps banked
+        train_step = trainer._train_step
+
+        def step(state, sub, model_cfg, cfg, fold_id, epoch, *rest):
+            gc.collect()
+            alive = [e for e, refs in banked.items() if e < epoch and any(ref() is not None for ref in refs)]
+            assert not alive, (epoch, alive)
+            breakdown = train_step(state, sub, model_cfg, cfg, fold_id, epoch, *rest)
+            banked.setdefault(epoch, []).extend(weakref.ref(x) for x in state.bank[-1])
+            return breakdown
+
+        monkeypatch.setattr(trainer, "_train_step", step)
+        trainer.train_fold(0, plan, batches, mcfg, tcfg)
+        assert sorted(banked) == [0, 1, 2] and all(len(refs) == 8 for refs in banked.values())
 
 
 def assert_bank_keeps_no_tape_alive(monkeypatch, plan, batches, mcfg, tcfg):
